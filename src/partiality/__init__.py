@@ -14,6 +14,7 @@ from .delay import Delay, Converged, TIMEOUT, bind as delay_bind, defer, later, 
 from .seq import (
     ChainViolationError,
     Done,
+    MonotonicityError,
     PENDING,
     Seq,
     Verdict,
@@ -38,7 +39,7 @@ from .seq import (
 
 __all__ = [
     "Delay", "Converged", "TIMEOUT", "delay_bind", "defer", "later", "never", "now", "run_fuel",
-    "ChainViolationError", "Done", "PENDING", "Seq", "Verdict", "Witness",
+    "ChainViolationError", "Done", "MonotonicityError", "PENDING", "Seq", "Verdict", "Witness",
     "bind", "bisim_within", "bottom", "cantor_pair", "cantor_unpair", "converges_within",
     "from_fn", "join", "leq_within", "lub", "of_delay", "shift", "terminates_with_within",
     "to_delay", "unit", "unshift",

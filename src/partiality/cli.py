@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes, uniformly: 0 a definite answer, 1 bad input (or failed law
-suites), 2 out of fuel with nothing decided, 3 a run that got stuck.
+Exit codes, uniformly: 0 a definite answer, 1 bad input (a usage error,
+negative fuel, or failed law suites), 2 out of fuel with nothing decided,
+3 a run that got stuck.
 
 ``run``/``vm``/``compile`` accept either a file name or literal program
 text; ``laws`` replays the seeded property suites without pytest.
@@ -311,8 +312,15 @@ _NEGATIVE_ARG = re.compile(r"^-\d+([/:]-?\d+)?$")
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which here means "out of fuel"
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="partiality")
+    p = _Parser(prog="partiality")
     sub = p.add_subparsers(dest="command", required=True)
 
     def fuel_opt(sp):
@@ -348,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("laws", help="replay the seeded property suites")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=100)
-    fuel_opt(sp)  # accepted for flag uniformity; the suites carry their own bounds
     sp.set_defaults(fn=cmd_laws)
 
     return p

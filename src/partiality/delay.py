@@ -93,7 +93,10 @@ def run_fuel(d: Delay, fuel: int) -> Converged | _Timeout:
     Returns ``Converged(value, steps)`` with the exact number of steps peeled,
     or ``TIMEOUT`` if the value has not appeared yet.  ``TIMEOUT`` is an
     answer, not an error: it says nothing beyond "not within this budget".
+    Negative fuel is a ``ValueError``.
     """
+    if fuel < 0:
+        raise ValueError(f"negative fuel: {fuel}")
     steps = 0
     while True:
         ob = d.observe()

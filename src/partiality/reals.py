@@ -18,7 +18,6 @@ arithmetic we have no reason to rewrite.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
@@ -29,60 +28,25 @@ Rational = Fraction
 Real = Callable[[int], Rational]
 
 
-class Sign3(Enum):
-    MINUS = -1
-    QUERY = 0
-    PLUS = 1
-
-
-def sign_approx(f: Real) -> Callable[[int], Sign3]:
-    """Sticky running sign of ``f``: undecided until some ``|n * f(n)| > 2``.
-
-    The threshold is what the settling rate buys: once ``n * f(n)`` escapes
-    ``[-2, 2]`` the sign of every later approximant — and so of the limit —
-    is pinned down, and the answer may be latched forever.  The recurrence
-    starts undecided and consults ``f`` only while undecided, so each prefix
-    costs each query once.
-    """
-    memo: list[Sign3] = [Sign3.QUERY]
-
-    def s(n: int) -> Sign3:
-        while len(memo) <= n:
-            k = len(memo)
-            prev = memo[k - 1]
-            if prev is not Sign3.QUERY:
-                memo.append(prev)
-            else:
-                v = k * f(k)
-                if v < -2:
-                    memo.append(Sign3.MINUS)
-                elif v > 2:
-                    memo.append(Sign3.PLUS)
-                else:
-                    memo.append(Sign3.QUERY)
-        return memo[n]
-
-    return s
-
-
 def is_positive(f: Real) -> Seq:
     """Positivity of the real named by ``f``, as a sequence of bits.
 
-    Index ``n`` is ``Done(1)`` once the sign has latched positive by step
-    ``n``, ``Done(0)`` once it has latched negative, ``PENDING`` while still
-    undecided.  For the zero real every index is pending.
+    Index ``n >= 1`` queries ``f(n)``; cells stay pending until the first
+    ``n`` with ``|n * f(n)| > 2``, where the settling rate pins the sign of
+    the limit.  From there every cell is ``Done(1)`` (positive) or
+    ``Done(0)`` (negative) and ``f`` is not queried again.  For the zero
+    real every index is pending.
     """
-    s = sign_approx(f)
 
     def produce():
-        n = 0
-        while True:
-            v = s(n)
-            if v is Sign3.QUERY:
-                yield PENDING
-            else:
-                yield Done(1 if v is Sign3.PLUS else 0)
+        yield PENDING
+        n = 1
+        while -2 <= (v := n * f(n)) <= 2:
+            yield PENDING
             n += 1
+        cell = Done(1 if v > 0 else 0)
+        while True:
+            yield cell
 
     return Seq(produce)
 

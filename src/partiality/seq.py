@@ -17,16 +17,18 @@ return three-valued ``Verdict``s relative to a fuel bound.  ``TRUE`` and
 
 Everything in between is ``UNKNOWN``, which more fuel may still resolve.
 
-Evaluation is lazy with the whole queried prefix memoized, so repeated
-``at`` calls and the heavy re-scanning done by ``lub`` and ``bind`` stay
-cheap.  Cells are memoized without locking; use from a single thread.
+Evaluation is lazy.  By monotonicity a scanned prefix is fully described by
+how many cells were pulled and the first done cell, which is all a ``Seq``
+keeps: re-scanning by ``lub`` and ``bind`` stays cheap and memory per
+sequence is O(1).  A producer that breaks monotonicity raises
+``MonotonicityError`` at the offending index.  Use from a single thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
+from math import inf, isqrt
 from typing import Any, Callable, Iterator, Optional
 
 from .delay import Delay, Later, Now
@@ -89,12 +91,25 @@ class ChainViolationError(Exception):
         )
 
 
-class Seq:
-    """A lazily produced, memoized sequence of progress cells.
+class MonotonicityError(ValueError):
+    """A producer emitted a cell that differs from an earlier done cell."""
 
-    Backed by a producer that emits cells in index order; every cell that has
-    been asked for is cached, and the first done cell is remembered so that
-    convergence queries after materialization are O(1).
+    def __init__(self, index: int, cell: Any, first: tuple[int, Any]):
+        self.index = index
+        self.cell = cell
+        self.first = first
+        super().__init__(
+            f"sequence is not monotone: index {index} gives {cell!r}, "
+            f"but index {first[0]} gave {first[1]!r}"
+        )
+
+
+class Seq:
+    """A lazily produced sequence of progress cells.
+
+    Backed by a producer that emits cells in index order.  Only the count of
+    cells pulled and the first done cell with its index are kept; producer
+    failures, ``MonotonicityError`` included, are cached and re-raised.
 
     ``never_converges`` is construction-time knowledge: it is set only when
     the way the sequence was built guarantees every cell is pending (e.g.
@@ -102,59 +117,69 @@ class Seq:
     truths like "bottom is below everything".
     """
 
-    __slots__ = ("_produce", "_iter", "_cells", "_first_done", "_error", "never_converges")
+    __slots__ = ("_produce", "_iter", "_scanned", "_done", "_done_at", "_error", "never_converges")
 
     def __init__(self, produce: Callable[[], Iterator], never_converges: bool = False):
         self._produce = produce
         self._iter = None
-        self._cells: list = []
-        self._first_done: Optional[tuple[int, Any]] = None
+        self._scanned = 0
+        self._done = None
+        self._done_at = inf
         self._error: Optional[Exception] = None
         self.never_converges = never_converges
 
     def at(self, n: int):
         """The cell at index ``n`` (``Done(value)`` or ``PENDING``)."""
-        if n < 0:
-            raise IndexError("negative index")
-        cells = self._cells
-        if len(cells) <= n:
-            self._pull(lambda: len(cells) > n)
-        return cells[n]
+        if not 0 <= n < self._scanned:
+            if n < 0:
+                raise IndexError("negative index")
+            self._pull(n, False)
+        return self._done if n >= self._done_at else PENDING
 
-    def _pull(self, enough: Callable[[], bool]) -> None:
-        # Extends the cache until `enough` holds.  A failure in the producer
-        # is cached and re-raised on any further extension attempt.
+    def _pull(self, n: int, stop_at_done: bool) -> None:
+        # Pulls cells through index `n`, or only up to the first done cell
+        # when `stop_at_done` holds.  A failure in the producer is cached and
+        # re-raised on any further pull.
         if self._error is not None:
             raise self._error
         if self._iter is None:
             self._iter = self._produce()
-        cells = self._cells
-        while not enough():
-            try:
-                p = next(self._iter)
-            except StopIteration:
-                err: Exception = RuntimeError("sequence producer is not total")
-                self._error = err
-                raise err
-            except Exception as err:
-                self._error = err
-                raise
-            if p is not PENDING and self._first_done is None:
-                self._first_done = (len(cells), p.value)
-            cells.append(p)
+        it = self._iter
+        k = self._scanned
+        done = self._done
+        try:
+            while k <= n:
+                p = next(it)
+                if done is None:
+                    if p is not PENDING:
+                        done = self._done = p
+                        self._done_at = k
+                        if stop_at_done:
+                            n = k  # this cell is the last one pulled
+                elif p is not done and p != done:
+                    raise MonotonicityError(k, p, (self._done_at, done))
+                k += 1
+        except Exception as err:
+            if isinstance(err, StopIteration):
+                err = RuntimeError("sequence producer is not total")
+            self._error = err
+            raise err
+        finally:
+            self._scanned = k
 
     def first_done_within(self, fuel: int) -> Optional[tuple[int, Any]]:
         """Least index ``<= fuel`` holding a done cell, with its value.
 
         Stops materializing as soon as a done cell appears, so a convergent
-        sequence is never forced past its convergence index.
+        sequence is never forced past its convergence index.  Negative fuel
+        is a ``ValueError``.
         """
-        if self._first_done is None and len(self._cells) <= fuel:
-            cells = self._cells
-            self._pull(lambda: self._first_done is not None or len(cells) > fuel)
-        fd = self._first_done
-        if fd is not None and fd[0] <= fuel:
-            return fd
+        if fuel < 0:
+            raise ValueError(f"negative fuel: {fuel}")
+        if self._done is None and self._scanned <= fuel:
+            self._pull(fuel, True)
+        if self._done_at <= fuel:
+            return self._done_at, self._done.value
         return None
 
 
@@ -424,11 +449,10 @@ def lub(
 
 
 def ismon_prefix(s: Seq, n: int) -> bool:
-    """Check the monotonicity invariant on the first ``n`` cells."""
-    prev = s.at(0) if n > 0 else None
-    for k in range(1, n):
-        cur = s.at(k)
-        if prev is not PENDING and cur != prev:
-            return False
-        prev = cur
+    """Check monotonicity on the first ``n`` cells, which pulling them checks."""
+    try:
+        if n > 0:
+            s.at(n - 1)
+    except MonotonicityError:
+        return False
     return True

@@ -111,3 +111,34 @@ def test_laws_are_reproducible(capsys):
     _, o1, _ = run_cli(capsys, "laws", "--seed", "3", "--count", "10")
     _, o2, _ = run_cli(capsys, "laws", "--seed", "3", "--count", "10")
     assert o1 == o2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["run"], ["run", "5", "--bogus"], ["run", "5", "--fuel", "x"], ["laws", "--fuel", "5"]],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out = capsys.readouterr()
+    assert stop.value.code == 1 and out.out == "" and out.err.startswith("usage:")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", r"(\x. x) 5"],
+        ["vm", r"(\x. x) 5"],
+        ["ispositive", "0"],
+        ["search", "even", "1:1"],
+    ],
+)
+def test_negative_fuel_is_bad_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--fuel", "-1")
+    assert code == 1 and out == "" and "negative fuel" in err

@@ -21,6 +21,11 @@ def test_never_times_out():
     assert D.run_fuel(D.never(), 1000) is D.TIMEOUT
 
 
+def test_negative_fuel_is_rejected():
+    with pytest.raises(ValueError):
+        D.run_fuel(laters_n(D.now(1), 5), -1)
+
+
 def test_observation_is_memoized():
     calls = []
     d = D.Delay(lambda: calls.append(1) or D.Now(3))

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from partiality import reals, seq
 from partiality.seq import PENDING, Done, Verdict
+from helpers import prefix
 
 
 def rationals(min_num=-30, max_num=30):
@@ -46,14 +49,8 @@ def test_equiv_is_violated_by_a_constant_gap():
 
 
 def test_sign_of_one_latches_at_three():
-    s = reals.sign_approx(reals.const_real(Fraction(1)))
-    assert [s(n) for n in range(5)] == [
-        reals.Sign3.QUERY,
-        reals.Sign3.QUERY,
-        reals.Sign3.QUERY,
-        reals.Sign3.PLUS,
-        reals.Sign3.PLUS,
-    ]
+    s = reals.is_positive(reals.const_real(Fraction(1)))
+    assert prefix(s, 5) == [PENDING, PENDING, PENDING, Done(1), Done(1)]
 
 
 def test_queries_stop_after_latching():
@@ -63,9 +60,24 @@ def test_queries_stop_after_latching():
         calls.append(n)
         return Fraction(1)
 
-    s = reals.sign_approx(f)
-    s(10)
+    s = reals.is_positive(f)
+    s.at(10)
     assert calls == [1, 2, 3]
+
+
+def test_zero_scan_memory_does_not_grow_with_fuel():
+    # a Seq keeps O(1) state however far it is scanned
+    def peak(fuel):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            seq.converges_within(reals.is_positive(reals.const_real(0)), fuel)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert peak(10**4) == peak(10**5)
 
 
 @given(rationals().filter(lambda q: q != 0))

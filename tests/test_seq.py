@@ -57,6 +57,37 @@ def test_producer_errors_are_cached_and_reraised():
         s.at(0)
 
 
+@pytest.mark.parametrize(
+    "cells, first",
+    [
+        ([PENDING, Done(1), Done(1), Done(2)], (1, Done(1))),
+        ([Done(1), Done(1), Done(1), PENDING], (0, Done(1))),
+    ],
+)
+def test_non_monotone_producer_raises_at_its_index(cells, first):
+    def produce():
+        yield from cells
+        raise AssertionError("pulled past the offending cell")
+
+    s = seq.Seq(produce)
+    assert prefix(s, 3) == cells[:3]
+    with pytest.raises(seq.MonotonicityError) as raised:
+        s.at(3)
+    err = raised.value
+    assert (err.index, err.cell, err.first) == (3, cells[3], first)
+    with pytest.raises(seq.MonotonicityError) as again:
+        s.at(3)
+    assert again.value is err
+    assert s.at(2) == cells[2]
+    assert seq.ismon_prefix(seq.Seq(produce), 3)
+    assert not seq.ismon_prefix(seq.Seq(produce), 4)
+
+
+def test_negative_fuel_is_rejected():
+    with pytest.raises(ValueError):
+        seq.converges_within(seq.unit(1), -1)
+
+
 # --- convergence observation -----------------------------------------------
 
 
