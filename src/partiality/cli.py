@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes, uniformly: 0 a definite answer, 1 bad input (a usage error,
-negative fuel, or failed law suites), 2 out of fuel with nothing decided,
-3 a run that got stuck.
+Exit codes, uniformly: 0 a definite answer, 1 bad input (a usage error, an
+unreadable program file, negative fuel or count, or failed law suites), 2 out
+of fuel with nothing decided, 3 a run that got stuck.
 
 ``run``/``vm``/``compile`` accept either a file name or literal program
 text; ``laws`` replays the seeded property suites without pytest.
@@ -59,21 +59,8 @@ def cmd_vm(args) -> int:
     return _report_run(lang.execute(lang.compile_term(_parse_term(args.program))), args.fuel)
 
 
-def _show_code(code: tuple, indent: str = "") -> None:
-    for ins in code:
-        if isinstance(ins, lang.PushClo):
-            print(f"{indent}pushclo:")
-            _show_code(ins.code, indent + "  ")
-        elif isinstance(ins, lang.PushLit):
-            print(f"{indent}pushlit {ins.n}")
-        elif isinstance(ins, lang.PushVar):
-            print(f"{indent}pushvar {ins.index}")
-        else:
-            print(f"{indent}{type(ins).__name__.lower()}")
-
-
 def cmd_compile(args) -> int:
-    _show_code(lang.compile_term(_parse_term(args.program)))
+    print("\n".join(lang.disassemble(lang.compile_term(_parse_term(args.program)))))
     return 0
 
 
@@ -154,67 +141,51 @@ def _prefix(s, n: int) -> list:
     return [s.at(i) for i in range(n)]
 
 
-def _suite_order(rng: random.Random, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        s, t, u = _rand_seq(rng), _rand_seq(rng), _rand_seq(rng)
-        fuel = rng.randrange(1, 40)
-        good = (
-            seq.leq_within(s, s, fuel) is Verdict.TRUE
-            and seq.leq_within(seq.bottom(), s, fuel) is Verdict.TRUE
-            and seq.ismon_prefix(s, fuel)
+def _law_order(rng: random.Random) -> bool:
+    s, t, u = _rand_seq(rng), _rand_seq(rng), _rand_seq(rng)
+    fuel = rng.randrange(1, 40)
+    return (
+        seq.leq_within(s, s, fuel) is Verdict.TRUE
+        and seq.leq_within(seq.bottom(), s, fuel) is Verdict.TRUE
+        and seq.ismon_prefix(s, fuel)
+        and (  # transitivity
+            seq.leq_within(s, t, fuel) is not Verdict.TRUE
+            or seq.leq_within(t, u, fuel) is not Verdict.TRUE
+            or seq.leq_within(s, u, fuel) is not Verdict.FALSE
         )
-        if (
-            seq.leq_within(s, t, fuel) is Verdict.TRUE
-            and seq.leq_within(t, u, fuel) is Verdict.TRUE
-        ):
-            good = good and seq.leq_within(s, u, fuel) is not Verdict.FALSE
-        ok += good
-    return ok, count
+    )
 
 
-def _suite_unit_injective(rng: random.Random, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        a, b = rng.randrange(8), rng.randrange(8)
-        v = seq.bisim_within(seq.unit(a), seq.unit(b), rng.randrange(1, 20))
-        ok += v is (Verdict.TRUE if a == b else Verdict.FALSE)
-    return ok, count
+def _law_unit_injective(rng: random.Random) -> bool:
+    a, b = rng.randrange(8), rng.randrange(8)
+    v = seq.bisim_within(seq.unit(a), seq.unit(b), rng.randrange(1, 20))
+    return v is (Verdict.TRUE if a == b else Verdict.FALSE)
 
 
-def _suite_flat(rng: random.Random, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        a, b = rng.randrange(6), rng.randrange(6)
-        fuel = rng.randrange(1, 20)
-        good = (
-            seq.leq_within(seq.unit(a), seq.unit(b), fuel)
-            is (Verdict.TRUE if a == b else Verdict.FALSE)
-            and seq.leq_within(seq.unit(a), seq.bottom(), fuel) is Verdict.UNKNOWN
-            and seq.leq_within(seq.bottom(), seq.unit(a), fuel) is Verdict.TRUE
-        )
-        ok += good
-    return ok, count
+def _law_flat(rng: random.Random) -> bool:
+    a, b = rng.randrange(6), rng.randrange(6)
+    fuel = rng.randrange(1, 20)
+    return (
+        seq.leq_within(seq.unit(a), seq.unit(b), fuel)
+        is (Verdict.TRUE if a == b else Verdict.FALSE)
+        and seq.leq_within(seq.unit(a), seq.bottom(), fuel) is Verdict.UNKNOWN
+        and seq.leq_within(seq.bottom(), seq.unit(a), fuel) is Verdict.TRUE
+    )
 
 
-def _suite_monad(rng: random.Random, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        a = rng.randrange(5)
-        k1 = rng.randrange(4)
-        k2 = rng.randrange(4)
-        f = lambda x, k=k1: _shift_n(seq.unit(x + 1), k)
-        g = lambda x, k=k2: _shift_n(seq.unit(x * 2), k)
-        s = _shift_n(seq.unit(a), rng.randrange(4))
-        n = 16
-        good = (
-            _prefix(seq.bind(seq.unit(a), f), n) == _prefix(f(a), n)
-            and _prefix(seq.bind(s, seq.unit), n) == _prefix(s, n)
-            and _prefix(seq.bind(seq.bind(s, f), g), n)
-            == _prefix(seq.bind(s, lambda x: seq.bind(f(x), g)), n)
-        )
-        ok += good
-    return ok, count
+def _law_monad(rng: random.Random) -> bool:
+    a = rng.randrange(5)
+    k1, k2 = rng.randrange(4), rng.randrange(4)
+    f = lambda x: _shift_n(seq.unit(x + 1), k1)
+    g = lambda x: _shift_n(seq.unit(x * 2), k2)
+    s = _shift_n(seq.unit(a), rng.randrange(4))
+    n = 16
+    return (
+        _prefix(seq.bind(seq.unit(a), f), n) == _prefix(f(a), n)
+        and _prefix(seq.bind(s, seq.unit), n) == _prefix(s, n)
+        and _prefix(seq.bind(seq.bind(s, f), g), n)
+        == _prefix(seq.bind(s, lambda x: seq.bind(f(x), g)), n)
+    )
 
 
 def _shift_n(s, k: int):
@@ -223,81 +194,69 @@ def _shift_n(s, k: int):
     return s
 
 
-def _suite_roundtrip(rng: random.Random, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        k = rng.randrange(6)
-        s = _shift_n(seq.unit(rng.randrange(9)), k)
-        n = 12
-        good = _prefix(seq.of_delay(seq.to_delay(s)), n) == _prefix(s, n)
-        d = seq.to_delay(_shift_n(seq.unit(7), k))
-        r = delay.run_fuel(d, 10)
-        good = good and r is not TIMEOUT and r.value == 7 and r.steps == k
-        ok += good
-    return ok, count
+def _law_roundtrip(rng: random.Random) -> bool:
+    k = rng.randrange(6)
+    s = _shift_n(seq.unit(rng.randrange(9)), k)
+    good = _prefix(seq.of_delay(seq.to_delay(s)), 12) == _prefix(s, 12)
+    r = delay.run_fuel(seq.to_delay(_shift_n(seq.unit(7), k)), 10)
+    return good and r is not TIMEOUT and r.value == 7 and r.steps == k
 
 
-def _suite_lub(rng: random.Random, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        stage = rng.randrange(1, 7)
-        val = rng.randrange(9)
-        lift = rng.randrange(4)
+def _law_lub(rng: random.Random) -> bool:
+    stage = rng.randrange(1, 7)
+    val = rng.randrange(9)
+    lift = rng.randrange(4)
 
-        def member(i, stage=stage, val=val, lift=lift):
-            return _shift_n(seq.unit(val), lift) if i >= stage else seq.bottom()
+    def member(i):
+        return _shift_n(seq.unit(val), lift) if i >= stage else seq.bottom()
 
-        fuel = 120
-        got = seq.converges_within(seq.lub(member), fuel)
-        # oracle: scan the family table in the same diagonal order directly
-        want = None
-        for n in range(fuel + 1):
-            i, j = seq.cantor_unpair(n)
-            if i >= stage and j >= lift:
-                want = (val, n)
-                break
-        ok += got is not None and (got.value, got.index) == want
-    return ok, count
+    fuel = 120
+    got = seq.converges_within(seq.lub(member), fuel)
+    # oracle: scan the family table in the same diagonal order directly
+    for n in range(fuel + 1):
+        i, j = seq.cantor_unpair(n)
+        if i >= stage and j >= lift:
+            return got is not None and (got.value, got.index) == (val, n)
+    return False
 
 
-def _suite_lub_guard(rng: random.Random, count: int) -> tuple[int, int]:
+def _law_lub_guard(rng: random.Random) -> bool:
     # a non-monotone functional must be caught by the merge, not silently averaged
-    ok = 0
-    for _ in range(count):
-        a = rng.randrange(4)
-        flip = [a]
+    flip = [rng.randrange(4)]
 
-        def phi(f, flip=flip):
-            flip[0] += 1
-            c = flip[0]
-            return lambda x: seq.unit(c)
+    def phi(f):
+        flip[0] += 1
+        c = flip[0]
+        return lambda x: seq.unit(c)
 
-        bad = cpo.lfp(phi)(0)
-        try:
-            _prefix(bad, 30)  # the error is lazy: only a scan that reaches the clash raises
-        except ChainViolationError:
-            ok += 1
-    return ok, count
+    bad = cpo.lfp(phi)(0)
+    try:
+        _prefix(bad, 30)  # the error is lazy: only a scan that reaches the clash raises
+    except ChainViolationError:
+        return True
+    return False
 
 
-_SUITES = [
-    ("order-laws", _suite_order),
-    ("unit-injective", _suite_unit_injective),
-    ("flat-order", _suite_flat),
-    ("monad-laws", _suite_monad),
-    ("roundtrips", _suite_roundtrip),
-    ("lub-oracle", _suite_lub),
-    ("lub-guard", _suite_lub_guard),
+_LAWS = [
+    ("order-laws", _law_order),
+    ("unit-injective", _law_unit_injective),
+    ("flat-order", _law_flat),
+    ("monad-laws", _law_monad),
+    ("roundtrips", _law_roundtrip),
+    ("lub-oracle", _law_lub),
+    ("lub-guard", _law_lub_guard),
 ]
 
 
 def cmd_laws(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"negative count: {args.count}")
     rng = random.Random(args.seed)
     all_ok = True
-    for name, suite in _SUITES:
-        passed, total = suite(rng, args.count)
-        print(f"{name}: {passed}/{total}")
-        all_ok = all_ok and passed == total
+    for name, law in _LAWS:
+        passed = sum(law(rng) for _ in range(args.count))
+        print(f"{name}: {passed}/{args.count}")
+        all_ok = all_ok and passed == args.count
     if all_ok:
         print("all suites passed")
         return 0
@@ -365,7 +324,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (lang.LangError, ValueError) as err:
+    except (lang.LangError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

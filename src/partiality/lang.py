@@ -14,7 +14,7 @@ Internally terms use de Bruijn indices.  There are two executable accounts:
 * ``eval`` — the obvious environment interpreter, made total by returning a
   delayed value that takes one observable step per beta reduction;
 * ``compile``/``execute`` — a small stack machine, one observable step per
-  closure call.
+  closure call, whose code ``disassemble`` lists one instruction a line.
 
 Both get stuck on the same ill-typed operations (calling a number, taking
 the successor of a function), and stuckness is abortive: the first stuck
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from . import delay as D
 from . import seq
@@ -210,7 +210,23 @@ def compile_term(t) -> tuple:
     raise TypeError(f"not a term: {t!r}")
 
 
-def execute(code: tuple, env: tuple = ()) -> Delay:
+def disassemble(code: tuple) -> list[str]:
+    """The listing of machine code: one line per instruction, nested code indented."""
+    lines = []
+    for ins in code:
+        if isinstance(ins, PushClo):
+            lines.append("pushclo:")
+            lines.extend("  " + line for line in disassemble(ins.code))
+        elif isinstance(ins, PushLit):
+            lines.append(f"pushlit {ins.n}")
+        elif isinstance(ins, PushVar):
+            lines.append(f"pushvar {ins.index}")
+        else:
+            lines.append(type(ins).__name__.lower())
+    return lines
+
+
+def execute(code: tuple) -> Delay:
     """Run machine code; one observable step per closure call.
 
     Ill-typed operations halt the whole machine with ``STUCK`` — the frame
@@ -251,7 +267,7 @@ def execute(code: tuple, env: tuple = ()) -> Delay:
             else:
                 raise TypeError(f"not an instruction: {ins!r}")
 
-    return Delay(lambda: run(code, 0, env, [], []))
+    return Delay(lambda: run(code, 0, (), [], []))
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +411,8 @@ def parse(src: str):
     return t
 
 
-def show(t, names: Optional[list] = None) -> str:
+def show(t) -> str:
     """Print a term back in the concrete syntax, inventing variable names."""
-    if names is None:
-        names = []
 
     def fresh(depth: int) -> str:
         base = "xyzuvw"[depth % 6]
@@ -421,7 +435,7 @@ def show(t, names: Optional[list] = None) -> str:
         s = f"{go(t.fn, depth, 1)} {go(t.arg, depth, 2)}"
         return f"({s})" if prec > 1 else s
 
-    return go(t, len(names), 0)
+    return go(t, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,8 @@ class Seq:
         if self._error is not None:
             raise self._error
         if self._iter is None:
-            self._iter = self._produce()
+            # the factory may hold what the iterator has already moved past
+            self._iter, self._produce = self._produce(), None
         it = self._iter
         k = self._scanned
         done = self._done
@@ -250,41 +251,37 @@ def unshift(s: Seq) -> Seq:
 # conversions to and from Delay
 
 
+def _steps(d: Delay) -> Iterator:
+    # Advances its own local, so only the current step stays reachable.
+    while isinstance(ob := d.observe(), Later):
+        yield PENDING
+        d = ob.rest
+    cell = Done(ob.value)
+    while True:
+        yield cell
+
+
 def of_delay(d: Delay) -> Seq:
     """The sequence view of a delayed computation.
 
     Index ``n`` is done exactly when the computation finishes within ``n``
     observation steps, so an immediate value is done everywhere and each
-    extra step shifts the sequence by one.
+    extra step shifts the sequence by one.  A scan keeps only the current
+    step alive, not ``d``, so its memory is O(1) however far it goes.
     """
-
-    def produce():
-        cur = d
-        while True:
-            ob = cur.observe()
-            if isinstance(ob, Now):
-                cell = Done(ob.value)
-                while True:
-                    yield cell
-            yield PENDING
-            cur = ob.rest
-
-    return Seq(produce)
+    return Seq(lambda: _steps(d))
 
 
 def to_delay(s: Seq) -> Delay:
-    """The delayed view of a sequence: one step per pending prefix cell."""
+    """The delayed view of a sequence: one step per pending cell, built when it is observed."""
 
-    def from_index(i: int) -> Delay:
-        def peek():
-            p = s.at(i)
-            if p is PENDING:
-                return Later(from_index(i + 1))
-            return Now(p.value)
+    def step(i: int) -> "Now | Later":
+        p = s.at(i)
+        if p is PENDING:
+            return Later(Delay(lambda: step(i + 1)))
+        return Now(p.value)
 
-        return Delay(peek)
-
-    return from_index(0)
+    return Delay(lambda: step(0))
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,14 @@ def test_help_exits_0(capsys):
 def test_negative_fuel_is_bad_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--fuel", "-1")
     assert code == 1 and out == "" and "negative fuel" in err
+
+
+@pytest.mark.parametrize("command", ["run", "vm", "compile"])
+def test_unreadable_program_path_is_bad_input(tmp_path, capsys, command):
+    code, out, err = run_cli(capsys, command, str(tmp_path))
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_negative_count_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "laws", "--count", "-1")
+    assert code == 1 and out == "" and "negative count" in err

@@ -114,6 +114,18 @@ def test_compiled_code_shape():
     )
 
 
+def test_disassemble_indents_nested_code():
+    assert lang.disassemble(compile_term(parse(r"(\x. \y. x) 2"))) == [
+        "pushclo:",
+        "  pushclo:",
+        "    pushvar 1",
+        "    ret",
+        "  ret",
+        "pushlit 2",
+        "apply",
+    ]
+
+
 def test_vm_matches_interpreter_on_values_and_steps(rng):
     for _ in range(500):
         t = gen_term(rng, size=10)

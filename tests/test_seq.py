@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,21 @@ def test_terminates_with_verdicts():
 def test_of_delay_counts_steps_as_indices():
     d = D.later(D.later(D.now(8)))
     assert prefix(seq.of_delay(d), 4) == [PENDING, PENDING, Done(8), Done(8)]
+
+
+def test_of_delay_memory_does_not_grow_with_fuel():
+    # a scan keeps only the current step of the Delay, not the steps behind it
+    def peak(fuel):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            seq.converges_within(seq.of_delay(D.map(D.never(), str)), fuel)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert peak(10**5) < 16_384
 
 
 def test_to_delay_counts_pending_as_steps():
