@@ -7,6 +7,10 @@ same value repeatedly (or converting it to another representation) never
 redoes work, and observation behaves as a pure function.  Nontermination is
 representable (``never``) and every observation is productive: it returns
 after one layer no matter what the computation does.
+
+``bind`` builds a node that one loop observes: binds waiting on their source
+sit on an explicit list, so nesting binds costs no Python frames, and each
+node memoizes its own layer, so a node shared by several binds runs once.
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ class Now:
 @dataclass(frozen=True)
 class Later:
     rest: Delay
-
-
-Observed = "Now | Later"
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,51 @@ def bind(d: Delay, f: Callable[[Any], Delay]) -> Delay:
     Steps add up exactly: no step is created or lost, so the step count of
     the result is the step count of ``d`` plus that of ``f``'s output.
     """
+    return _Bind(d, f)
 
-    def step():
-        ob = d.observe()
-        if isinstance(ob, Now):
-            return f(ob.value).observe()
-        return Later(bind(ob.rest, f))
 
-    return Delay(step)
+_BUSY = object()  # the layer of a bind while the loop works it out
+
+
+class _Bind(Delay):
+    __slots__ = ("_src", "_f")
+
+    def __init__(self, src: Delay, f: Callable[[Any], Delay]):
+        self._src, self._f, self._observed = src, f, None
+
+    def observe(self) -> "Now | Later":
+        # The loop.  Binds whose layer is not known yet wait on a list; a bind
+        # whose source is done holds f's result in place of both.  After an
+        # exception the waiting binds are unobserved again, as they were.
+        if self._observed is None:
+            d, waiting = self, []
+            try:
+                while True:
+                    while isinstance(d, _Bind) and d._observed is None:
+                        d._observed = _BUSY
+                        waiting.append(d)
+                        d = d._src
+                    ob = d.observe()
+                    while waiting:
+                        b = waiting[-1]
+                        if b._f is not None:
+                            if isinstance(ob, Now):
+                                b._src, b._f = b._f(ob.value), None
+                                d = b._src
+                                break
+                            ob = Later(_Bind(ob.rest, b._f))
+                        b._observed = ob
+                        b._src = b._f = None
+                        waiting.pop()
+                    else:
+                        break
+            except BaseException:
+                for b in waiting:
+                    b._observed = None
+                raise
+        elif self._observed is _BUSY:
+            raise ValueError("a bind needs its own value before it takes a step")
+        return self._observed
 
 
 def map(d: Delay, fn: Callable[[Any], Any]) -> Delay:

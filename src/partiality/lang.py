@@ -254,7 +254,8 @@ def execute(code: tuple) -> Delay:
                 fv = stack.pop()
                 if not isinstance(fv, VmClosure):
                     return D.Now(STUCK)
-                frames.append((code, pc, env))
+                if pc == len(code) or not isinstance(code[pc], Ret):
+                    frames.append((code, pc, env))  # a tail call, just before Ret, needs none
                 ncode, nenv = fv.code, fv.env + (av,)
                 return D.Later(Delay(lambda: run(ncode, 0, nenv, stack, frames)))
             elif isinstance(ins, Add1):

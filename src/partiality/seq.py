@@ -17,10 +17,10 @@ return three-valued ``Verdict``s relative to a fuel bound.  ``TRUE`` and
 
 Everything in between is ``UNKNOWN``, which more fuel may still resolve.
 
-Evaluation is lazy.  By monotonicity a scanned prefix is fully described by
-how many cells were pulled and the first done cell, which is all a ``Seq``
-keeps: re-scanning by ``lub`` and ``bind`` stays cheap and memory per
-sequence is O(1).  A producer that breaks monotonicity raises
+Evaluation is lazy.  By monotonicity a scanned prefix is described by the
+number of cells pulled and the first done cell, all a ``Seq`` keeps, so its
+memory is O(1).  ``unit``, ``bottom``, ``shift`` and ``bind`` build ``Delay``
+graphs, whose nesting costs no Python frames.  A non-monotone producer raises
 ``MonotonicityError`` at the offending index.  Use from a single thread.
 """
 
@@ -31,6 +31,7 @@ from enum import Enum
 from math import inf, isqrt
 from typing import Any, Callable, Iterator, Optional
 
+from . import delay as D
 from .delay import Delay, Later, Now
 
 
@@ -47,9 +48,6 @@ PENDING = _Pending()
 @dataclass(frozen=True)
 class Done:
     value: Any
-
-
-Progress = "Done | _Pending"
 
 
 class Verdict(Enum):
@@ -107,9 +105,10 @@ class MonotonicityError(ValueError):
 class Seq:
     """A lazily produced sequence of progress cells.
 
-    Backed by a producer that emits cells in index order.  Only the count of
-    cells pulled and the first done cell with its index are kept; producer
-    failures, ``MonotonicityError`` included, are cached and re-raised.
+    Backed by a ``Delay``, read as ``of_delay`` says, or by a factory for a
+    producer that emits cells in index order.  Only the count of cells
+    pulled and the first done cell with its index are kept; failures,
+    ``MonotonicityError`` included, are cached and re-raised.
 
     ``never_converges`` is construction-time knowledge: it is set only when
     the way the sequence was built guarantees every cell is pending (e.g.
@@ -119,7 +118,7 @@ class Seq:
 
     __slots__ = ("_produce", "_iter", "_scanned", "_done", "_done_at", "_error", "never_converges")
 
-    def __init__(self, produce: Callable[[], Iterator], never_converges: bool = False):
+    def __init__(self, produce: "Delay | Callable[[], Iterator]", never_converges: bool = False):
         self._produce = produce
         self._iter = None
         self._scanned = 0
@@ -143,8 +142,10 @@ class Seq:
         if self._error is not None:
             raise self._error
         if self._iter is None:
-            # the factory may hold what the iterator has already moved past
-            self._iter, self._produce = self._produce(), None
+            # the source may hold what the iterator has already moved past
+            src = self._produce
+            self._iter = _steps(src) if isinstance(src, Delay) else src()
+            self._produce = src = None
         it = self._iter
         k = self._scanned
         done = self._done
@@ -168,41 +169,17 @@ class Seq:
         finally:
             self._scanned = k
 
-    def first_done_within(self, fuel: int) -> Optional[tuple[int, Any]]:
-        """Least index ``<= fuel`` holding a done cell, with its value.
-
-        Stops materializing as soon as a done cell appears, so a convergent
-        sequence is never forced past its convergence index.  Negative fuel
-        is a ``ValueError``.
-        """
-        if fuel < 0:
-            raise ValueError(f"negative fuel: {fuel}")
-        if self._done is None and self._scanned <= fuel:
-            self._pull(fuel, True)
-        if self._done_at <= fuel:
-            return self._done_at, self._done.value
-        return None
-
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
 def unit(a: Any) -> Seq:
-    def produce():
-        cell = Done(a)
-        while True:
-            yield cell
-
-    return Seq(produce)
+    return Seq(D.now(a))
 
 
 def bottom() -> Seq:
-    def produce():
-        while True:
-            yield PENDING
-
-    return Seq(produce, never_converges=True)
+    return Seq(D.never(), never_converges=True)
 
 
 def from_fn(fn: Callable[[int], Any]) -> Seq:
@@ -227,14 +204,7 @@ def from_fn(fn: Callable[[int], Any]) -> Seq:
 
 
 def shift(s: Seq) -> Seq:
-    def produce():
-        yield PENDING
-        n = 0
-        while True:
-            yield s.at(n)
-            n += 1
-
-    return Seq(produce, never_converges=s.never_converges)
+    return Seq(D.later(to_delay(s)), s.never_converges)
 
 
 def unshift(s: Seq) -> Seq:
@@ -269,11 +239,15 @@ def of_delay(d: Delay) -> Seq:
     extra step shifts the sequence by one.  A scan keeps only the current
     step alive, not ``d``, so its memory is O(1) however far it goes.
     """
-    return Seq(lambda: _steps(d))
+    return Seq(d)
 
 
 def to_delay(s: Seq) -> Delay:
-    """The delayed view of a sequence: one step per pending cell, built when it is observed."""
+    """The delayed view of a sequence: one step per pending cell.
+
+    While ``s`` is unscanned, that is the ``Delay`` behind it."""
+    if isinstance(s._produce, Delay):
+        return s._produce
 
     def step(i: int) -> "Now | Later":
         p = s.at(i)
@@ -292,12 +266,15 @@ def converges_within(s: Seq, fuel: int) -> Optional[Witness]:
     """Least index ``<= fuel`` at which ``s`` is done, or ``None``.
 
     Monotonicity makes the witness value unique, and producing cells in
-    order makes the returned index minimal.
+    order makes the returned index minimal.  Cells are pulled only up to the
+    first done one, so a convergent sequence is never forced past its
+    convergence index.  Negative fuel is a ``ValueError``.
     """
-    fd = s.first_done_within(fuel)
-    if fd is None:
-        return None
-    return Witness(fd[1], fd[0])
+    if fuel < 0:
+        raise ValueError(f"negative fuel: {fuel}")
+    if s._done is None and s._scanned <= fuel:
+        s._pull(fuel, True)
+    return Witness(s._done.value, s._done_at) if s._done_at <= fuel else None
 
 
 def terminates_with_within(s: Seq, a: Any, fuel: int) -> Verdict:
@@ -322,27 +299,10 @@ def bind(s: Seq, f: Callable[[Any], Seq]) -> Seq:
 
     If ``s`` is first done at index ``k`` with value ``a``, the result at
     index ``n >= k`` is ``f(a)`` at index ``n - k``; before that it is
-    pending.  This exact index bookkeeping is what makes the sequence view
-    and the delayed view of a composed computation agree cell for cell.
+    pending.  It is ``Delay`` bind on the delayed views, so the sequence
+    view and the delayed view of a composed computation agree cell for cell.
     """
-
-    def produce():
-        k = None
-        fa = None
-        n = 0
-        while True:
-            if k is None:
-                p = s.at(n)
-                if p is not PENDING:
-                    k = n
-                    fa = f(p.value)
-            if k is None:
-                yield PENDING
-            else:
-                yield fa.at(n - k)
-            n += 1
-
-    return Seq(produce, never_converges=s.never_converges)
+    return Seq(D.bind(to_delay(s), lambda a: to_delay(f(a))), s.never_converges)
 
 
 def map(s: Seq, fn: Callable[[Any], Any]) -> Seq:

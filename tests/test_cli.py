@@ -153,3 +153,8 @@ def test_unreadable_program_path_is_bad_input(tmp_path, capsys, command):
 def test_negative_count_is_bad_input(capsys):
     code, out, err = run_cli(capsys, "laws", "--count", "-1")
     assert code == 1 and out == "" and "negative count" in err
+
+
+def test_run_growing_context_times_out_like_vm(capsys):
+    src = r"(\f. f f) (\f. suc (f f))"
+    assert run_cli(capsys, "run", src) == run_cli(capsys, "vm", src) == (2, "timeout fuel=1000\n", "")

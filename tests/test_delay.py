@@ -85,3 +85,60 @@ def test_productivity_over_many_observations():
     assert D.run_fuel(D.never(), 10_000) is D.TIMEOUT
     r = D.run_fuel(laters_n(D.now(1), 10_000), 10_000)
     assert r.value == 1 and r.steps == 10_000
+
+
+def test_left_nested_bind_is_stack_safe():
+    # 10^5 binds on one source, observed at the default recursion limit
+    d = D.later(D.now(0))
+    for _ in range(10**5):
+        d = D.bind(d, lambda v: D.now(v + 1))
+    assert D.run_fuel(d, 1) == D.Converged(10**5, 1)
+
+
+def test_right_nested_bind_is_stack_safe():
+    def count_up(v):
+        return D.now(v) if v == 10**5 else D.bind(D.now(v + 1), count_up)
+
+    assert D.run_fuel(D.bind(D.later(D.now(0)), count_up), 1) == D.Converged(10**5, 1)
+
+
+def test_shared_bind_chain_runs_each_continuation_once():
+    # level i binds the previous level twice; memoized binds run the inner
+    # continuation once per level, where re-running a level would double it
+    calls = []
+
+    def level(t):
+        def inner(a):
+            return D.bind(t, lambda b: calls.append(b) or D.now(a + b))
+
+        return D.bind(t, inner)
+
+    t = D.later(D.now(1))
+    for _ in range(16):
+        t = level(t)
+    assert D.run_fuel(t, 2**16) == D.Converged(2**16, 2**16)
+    assert len(calls) == 16
+
+
+def test_bind_that_needs_its_own_value_is_an_error():
+    # no step guards the recursion, so there is no layer to observe
+    d = D.bind(D.now(1), lambda a: d)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            d.observe()
+
+
+def test_observation_after_an_exception_resumes():
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        if len(calls) == 1:
+            raise KeyError(a)
+        return D.later(D.now(a + 1))
+
+    d = D.map(D.bind(D.later(D.now(1)), f), str)
+    with pytest.raises(KeyError):
+        D.run_fuel(d, 5)
+    assert D.run_fuel(d, 5) == D.Converged("2", 2)
+    assert calls == [1, 1]

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -175,3 +177,28 @@ def test_interpreter_vocabulary_aliases():
     assert lang.eval is lang.evaluate
     assert lang.compile is lang.compile_term
     assert lang.exec is lang.execute
+
+
+# --- contexts that grow, and tail calls ------------------------------------
+
+
+def test_growing_context_times_out_on_both_back_ends():
+    # the interpreter's pending contexts nest one level deeper per call
+    t = parse(r"(\x. (\y. 3) (x (x x))) (\x. 0 (x x 3))")
+    assert run(t, 256) is D.TIMEOUT and vm(t, 256) is D.TIMEOUT
+    assert agree_within(t, 256) is Verdict.UNKNOWN
+
+
+def test_vm_tail_calls_keep_memory_flat():
+    def peak(fuel):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert vm(OMEGA, fuel) is D.TIMEOUT
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    small, large = peak(10**4), peak(10**5)
+    assert large < 16_384 and large < 2 * small

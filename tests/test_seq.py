@@ -315,3 +315,32 @@ def test_antisymmetry_at_verdict_level(rng):
             and seq.leq_within(t, s, 64) is Verdict.TRUE
         ):
             assert seq.bisim_within(s, t, 64) is Verdict.TRUE
+
+
+# --- nesting ---------------------------------------------------------------
+
+
+def test_left_nested_bind_is_stack_safe():
+    s = seq.unit(0)
+    for _ in range(10**5):
+        s = seq.bind(s, lambda v: seq.unit(v + 1))
+    assert seq.converges_within(s, 0) == Witness(10**5, 0)
+
+
+def test_deep_shift_is_stack_safe():
+    assert seq.converges_within(shift_n(seq.unit(7), 2048), 2048) == Witness(7, 2048)
+
+
+def test_shared_bind_chain_runs_each_continuation_once():
+    # level i binds the previous level twice; a loop that re-ran an inner
+    # bind instead of sharing its memoized layers would run 2^16 - 1 of them
+    calls = []
+
+    def level(t):
+        return seq.bind(t, lambda a: seq.bind(t, lambda b: calls.append(b) or seq.unit(a + b)))
+
+    t = seq.unit(1)
+    for _ in range(16):
+        t = level(t)
+    assert seq.converges_within(t, 0) == Witness(2**16, 0)
+    assert len(calls) == 16
