@@ -11,6 +11,7 @@ text; ``laws`` replays the seeded property suites without pytest.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -278,6 +279,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="partiality")
     sub = p.add_subparsers(dest="command", required=True)

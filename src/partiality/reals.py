@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Callable
 
-from .seq import Done, PENDING, Seq
+from .seq import Done, PENDING, Seq, from_fn
 
 Rational = Fraction
 
@@ -37,18 +37,7 @@ def is_positive(f: Real) -> Seq:
     ``Done(0)`` (negative) and ``f`` is not queried again.  For the zero
     real every index is pending.
     """
-
-    def produce():
-        yield PENDING
-        n = 1
-        while -2 <= (v := n * f(n)) <= 2:
-            yield PENDING
-            n += 1
-        cell = Done(1 if v > 0 else 0)
-        while True:
-            yield cell
-
-    return Seq(produce)
+    return from_fn(lambda n: PENDING if n == 0 or -2 <= (v := n * f(n)) <= 2 else Done(int(v > 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ Everything in between is ``UNKNOWN``, which more fuel may still resolve.
 Evaluation is lazy.  By monotonicity a scanned prefix is described by the
 number of cells pulled and the first done cell, all a ``Seq`` keeps, so its
 memory is O(1).  ``unit``, ``bottom``, ``shift`` and ``bind`` build ``Delay``
-graphs, whose nesting costs no Python frames.  A non-monotone producer raises
+graphs, whose nesting costs no Python frames.  A producer yields cells in
+index order and may stop right after its first done cell, since every later
+cell is that one; it may not stop before one.  A non-monotone producer raises
 ``MonotonicityError`` at the offending index.  Use from a single thread.
 """
 
@@ -106,7 +108,9 @@ class Seq:
     """A lazily produced sequence of progress cells.
 
     Backed by a ``Delay``, read as ``of_delay`` says, or by a factory for a
-    producer that emits cells in index order.  Only the count of cells
+    producer that emits cells in index order.  The producer may stop right
+    after its first done cell, which completes the sequence and drops the
+    producer; stopping before one is an error.  Only the count of cells
     pulled and the first done cell with its index are kept; failures,
     ``MonotonicityError`` included, are cached and re-raised.
 
@@ -161,11 +165,15 @@ class Seq:
                 elif p is not done and p != done:
                     raise MonotonicityError(k, p, (self._done_at, done))
                 k += 1
+        except StopIteration:
+            if done is None:
+                self._error = RuntimeError("sequence producer is not total")
+                raise self._error from None
+            k = inf  # done is final: every later cell is the done one
+            self._iter = None
         except Exception as err:
-            if isinstance(err, StopIteration):
-                err = RuntimeError("sequence producer is not total")
             self._error = err
-            raise err
+            raise
         finally:
             self._scanned = k
 
@@ -185,20 +193,17 @@ def bottom() -> Seq:
 def from_fn(fn: Callable[[int], Any]) -> Seq:
     """Wrap an arbitrary index function into a monotone sequence.
 
-    The first done value that ``fn`` yields (scanning from index 0) wins and
-    persists; later disagreeing cells are ignored.  Library-built sequences
-    are monotone already and do not pass through here.
+    ``fn`` is called at indices 0, 1, ... in order.  The first done value it
+    yields wins and persists, and ``fn`` is not called past that index, so
+    later disagreeing cells never show.
     """
 
     def produce():
-        best = None
         n = 0
-        while True:
-            p = fn(n)
-            if best is None and p is not PENDING:
-                best = Done(p.value)
-            yield best if best is not None else PENDING
+        while (p := fn(n)) is PENDING:
+            yield PENDING
             n += 1
+        yield Done(p.value)
 
     return Seq(produce)
 
@@ -208,13 +213,9 @@ def shift(s: Seq) -> Seq:
 
 
 def unshift(s: Seq) -> Seq:
-    def produce():
-        n = 1
-        while True:
-            yield s.at(n)
-            n += 1
-
-    return Seq(produce, never_converges=s.never_converges)
+    t = from_fn(lambda n: s.at(n + 1))
+    t.never_converges = s.never_converges
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +227,7 @@ def _steps(d: Delay) -> Iterator:
     while isinstance(ob := d.observe(), Later):
         yield PENDING
         d = ob.rest
-    cell = Done(ob.value)
-    while True:
-        yield cell
+    yield Done(ob.value)
 
 
 def of_delay(d: Delay) -> Seq:
@@ -375,7 +374,8 @@ def lub(
 
     The precondition is not checked up front: if the scan ever meets a
     second, different done value, ``ChainViolationError`` is raised from the
-    offending cell, naming both witnesses.
+    offending cell, naming both witnesses.  That check is why this producer,
+    unlike the others, keeps scanning the table after its done cell.
     """
 
     def produce():

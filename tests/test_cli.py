@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from partiality.cli import main
@@ -158,3 +160,16 @@ def test_negative_count_is_bad_input(capsys):
 def test_run_growing_context_times_out_like_vm(capsys):
     src = r"(\f. f f) (\f. suc (f f))"
     assert run_cli(capsys, "run", src) == run_cli(capsys, "vm", src) == (2, "timeout fuel=1000\n", "")
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "search", "even", "1:1") == run_cli(capsys, "search", "even", "1:1")
+    assert built.count("partiality") <= 1

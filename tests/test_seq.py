@@ -59,6 +59,36 @@ def test_producer_errors_are_cached_and_reraised():
         s.at(0)
 
 
+def test_producer_may_stop_after_its_done_cell():
+    def stopping():
+        return seq.Seq(lambda: iter([PENDING, Done(1)]))
+
+    assert seq.converges_within(stopping(), 10) == Witness(1, 1)
+    assert stopping().at(10**9) == Done(1)
+    assert seq.ismon_prefix(stopping(), 10**6)
+
+
+def test_producer_that_stops_before_a_done_cell_is_an_error():
+    s = seq.Seq(lambda: iter([PENDING, PENDING]))
+    with pytest.raises(RuntimeError, match="not total") as raised:
+        s.at(5)
+    with pytest.raises(RuntimeError) as again:
+        s.at(5)
+    assert again.value is raised.value
+
+
+@pytest.mark.parametrize("wrap", [lambda s: s, seq.unshift], ids=["from_fn", "unshift"])
+def test_from_fn_does_not_call_fn_past_the_done_index(wrap):
+    calls = []
+
+    def fn(n):
+        calls.append(n)
+        return Done(n) if n >= 3 else PENDING
+
+    assert wrap(seq.from_fn(fn)).at(50) == Done(3)
+    assert calls == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize(
     "cells, first",
     [
