@@ -11,8 +11,8 @@ with 1 from the first index that certifies positivity, done with 0 from the
 first that certifies non-positivity, pending forever on zero — so all the
 fuel-bounded machinery applies unchanged.
 
-Rationals are ``fractions.Fraction`` throughout: exact, hashable, and with
-arithmetic we have no reason to rewrite.
+Bounds are decided on integers, from each value's ``as_integer_ratio()``, so a
+real may return any exact-ratio number: ``int``, ``Fraction`` or ``float``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,18 @@ Real = Callable[[int], Rational]
 def is_positive(f: Real) -> Seq:
     """Positivity of the real named by ``f``, as a sequence of bits.
 
-    Index ``n >= 1`` queries ``f(n)``; cells stay pending until the first
-    ``n`` with ``|n * f(n)| > 2``, where the settling rate pins the sign of
-    the limit.  From there every cell is ``Done(1)`` (positive) or
-    ``Done(0)`` (negative) and ``f`` is not queried again.  For the zero
-    real every index is pending.
+    Index ``n >= 1`` queries ``f(n)`` once, as ``p / q``; cells stay pending
+    until the first ``n`` with ``|n * p| > 2 * q``, where the settling rate
+    pins the sign of the limit.  From there every cell is ``Done(1)``
+    (positive) or ``Done(0)`` (negative) and ``f`` is not queried again.
+    For the zero real every index is pending.
     """
-    return from_fn(lambda n: PENDING if n == 0 or -2 <= (v := n * f(n)) <= 2 else Done(int(v > 0)))
+    def cell(n: int):
+        if n == 0:
+            return PENDING
+        p, q = f(n).as_integer_ratio()
+        return PENDING if abs(n * p) <= 2 * q else Done(int(p > 0))
+    return from_fn(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +59,8 @@ def is_cauchy_prefix(f: Real, n: int) -> bool:
     vals = [f(i) for i in range(n + 1)]
     for m in range(1, n + 1):
         for k in range(m + 1, n + 1):
-            d = m * (vals[m] - vals[k])
-            if not (-1 < d < 1):
+            p, q = (vals[m] - vals[k]).as_integer_ratio()
+            if abs(m * p) >= q:
                 return False
     return True
 
@@ -63,8 +68,8 @@ def is_cauchy_prefix(f: Real, n: int) -> bool:
 def equiv_within(f: Real, g: Real, fuel: int) -> bool:
     """Check the same-real criterion at every index up to ``fuel``."""
     for n in range(fuel + 1):
-        d = n * (f(n) - g(n))
-        if not (-2 <= d <= 2):
+        p, q = (f(n) - g(n)).as_integer_ratio()
+        if abs(n * p) > 2 * q:
             return False
     return True
 

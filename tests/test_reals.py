@@ -3,10 +3,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from partiality import reals, seq
-from partiality.seq import PENDING, Done, Verdict
+from partiality.seq import PENDING, Done, Verdict, Witness
 from helpers import prefix
 
 
@@ -107,6 +107,102 @@ def test_sign_respects_equivalence_of_presentations():
     a = reals.is_positive(reals.const_real(q))
     b = reals.is_positive(perturbed(q, Fraction(1, 2)))
     assert seq.bisim_within(a, b, 64) is Verdict.TRUE
+
+
+# --- integer bounds against the Fraction formulas ---------------------------
+#
+# The module decides each bound on a value's integer ratio.  These oracles are
+# the plain Fraction forms of the same bounds, written out here.
+
+
+def sign_cell_oracle(f, n):
+    return PENDING if n == 0 or -2 <= n * f(n) <= 2 else Done(int(n * f(n) > 0))
+
+
+def cauchy_oracle(f, n):
+    return all(-1 < m * (f(m) - f(k)) < 1 for m in range(1, n + 1) for k in range(m + 1, n + 1))
+
+
+def equiv_oracle(f, g, fuel):
+    return all(-2 <= n * (f(n) - g(n)) <= 2 for n in range(fuel + 1))
+
+
+def presentations(gaps):
+    return st.one_of(
+        st.tuples(st.just("const"), rationals()),
+        st.tuples(st.just("perturbed"), rationals(), st.sampled_from(gaps)),
+        # |k * q| = 2 exactly: cell k is the last pending one
+        st.tuples(st.just("boundary"), st.sampled_from([-2, 2]), st.integers(1, 39)),
+    )
+
+
+GAPS = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
+PRESENTATIONS = presentations(GAPS)
+# gaps of 3/(n+1) break the settling rate, so the laws see both verdicts
+LAW_INPUTS = presentations(GAPS + [-3, 3])
+
+
+def presentation(t):
+    if t[0] == "const":
+        return reals.const_real(t[1])
+    if t[0] == "perturbed":
+        return perturbed(t[1], t[2])
+    return reals.const_real(Fraction(t[1], t[2]))
+
+
+INTEGER_BOUNDS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@INTEGER_BOUNDS
+@given(PRESENTATIONS)
+def test_is_positive_agrees_with_the_fraction_formula(t):
+    f = presentation(t)
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return f(n)
+
+    expected = [sign_cell_oracle(f, n) for n in range(41)]
+    assert prefix(reals.is_positive(counted), 41) == expected
+    latch = next((n for n, c in enumerate(expected) if c is not PENDING), 40)
+    assert calls == list(range(1, latch + 1))
+    if t[0] == "boundary":
+        k = t[2]
+        assert expected[k] is PENDING and expected[k + 1] == Done(int(t[1] > 0))
+
+
+@INTEGER_BOUNDS
+@given(LAW_INPUTS, LAW_INPUTS, st.integers(0, 20))
+def test_laws_agree_with_the_fraction_formulas(a, b, n):
+    f, g = presentation(a), presentation(b)
+    assert reals.is_cauchy_prefix(f, n) == cauchy_oracle(f, n)
+    assert reals.equiv_within(f, g, 2 * n) == equiv_oracle(f, g, 2 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_equiv_accepts_a_gap_of_exactly_two_over_n(n, sign):
+    f = reals.const_real(0)
+    gap = sign * Fraction(2, n)
+    assert reals.equiv_within(f, lambda i: gap if i == n else 0, n + 3)
+    over = gap + sign * Fraction(1, 10**9)
+    assert not reals.equiv_within(f, lambda i: over if i == n else 0, n + 3)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_cauchy_rejects_a_settling_gap_of_exactly_one(sign):
+    # at m = 3, k = 4: m * (f(3) - f(4)) = sign exactly
+    assert not reals.is_cauchy_prefix(lambda i: Fraction(sign, 3) if i == 3 else 0, 5)
+    under = sign * (Fraction(1, 3) - Fraction(1, 10**9))
+    assert reals.is_cauchy_prefix(lambda i: under if i == 3 else 0, 5)
+
+
+def test_float_and_int_valued_reals():
+    half = seq.converges_within(reals.is_positive(lambda n: 0.5), 10)
+    assert half == Witness(1, 5)
+    assert half == seq.converges_within(reals.is_positive(reals.const_real(Fraction(1, 2))), 10)
+    assert seq.converges_within(reals.is_positive(lambda n: 1), 10) == Witness(1, 3)
 
 
 # --- parsing ---------------------------------------------------------------
