@@ -9,7 +9,9 @@ Concrete syntax::
         | <nat>
         | ( e )
 
-Internally terms use de Bruijn indices.  There are two executable accounts:
+``parse`` reads it in one loop over the tokens, keeping open binders and
+parentheses on its own stack, so nesting has no depth limit.  Internally
+terms use de Bruijn indices.  There are two executable accounts:
 
 * ``eval`` — the obvious environment interpreter, made total by returning a
   delayed value that takes one observable step per beta reduction;
@@ -307,9 +309,6 @@ class LangError(Exception):
         super().__init__(f"{msg} (at offset {pos})")
 
 
-_KEYWORD = "suc"
-
-
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     toks = []
     i, n = 0, len(src)
@@ -321,9 +320,9 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
         if c in "\\.()":
             toks.append((c, c, i))
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(("nat", src[i:j], i))
             i = j
@@ -332,7 +331,7 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             while j < n and (src[j].isalnum() or src[j] in "_'"):
                 j += 1
             text = src[i:j]
-            toks.append((_KEYWORD if text == _KEYWORD else "ident", text, i))
+            toks.append(("suc" if text == "suc" else "ident", text, i))
             i = j
         else:
             raise LangError(f"stray character {c!r}", i)
@@ -340,76 +339,62 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.toks = _tokenize(src)
-        self.k = 0
-
-    def peek(self):
-        return self.toks[self.k]
-
-    def take(self):
-        t = self.toks[self.k]
-        self.k += 1
-        return t
-
-    def expect(self, kind: str):
-        t = self.take()
-        if t[0] != kind:
-            raise LangError(f"expected {kind!r}, found {t[1] or 'end of input'!r}", t[2])
-        return t
-
-    def term(self, bound: tuple):
-        kind, _, pos = self.peek()
-        if kind == "\\":
-            self.take()
-            name = self.expect("ident")[1]
-            self.expect(".")
-            return Lam(self.term((name,) + bound))
-        first = self.item(bound)
-        if first is None:
-            t = self.peek()
-            raise LangError(f"expected a term, found {t[1] or 'end of input'!r}", pos)
-        while True:
-            nxt = self.item(bound)
-            if nxt is None:
-                return first
-            first = App(first, nxt)
-
-    def item(self, bound: tuple):
-        # suc item | atom; None when the next token cannot start one
-        kind, text, pos = self.peek()
-        if kind == _KEYWORD:
-            self.take()
-            arg = self.item(bound)
-            if arg is None:
-                t = self.peek()
-                raise LangError(f"'suc' needs an argument, found {t[1] or 'end of input'!r}", t[2])
-            return Suc(arg)
-        if kind == "(":
-            self.take()
-            inner = self.term(bound)
-            self.expect(")")
-            return inner
-        if kind == "nat":
-            self.take()
-            return Lit(int(text))
-        if kind == "ident":
-            self.take()
-            try:
-                return Var(bound.index(text))
-            except ValueError:
-                raise LangError(f"unbound variable {text!r}", pos) from None
-        return None
+def _expect(toks, kind: str) -> str:
+    k, text, pos = toks.pop()
+    if k != kind:
+        raise LangError(f"expected {kind!r}, found {text or 'end of input'!r}", pos)
+    return text
 
 
 def parse(src: str):
-    p = _Parser(src)
-    t = p.term(())
-    kind, text, pos = p.peek()
-    if kind != "eof":
-        raise LangError(f"unexpected {text!r} after the term", pos)
-    return t
+    r"""``head`` is the application read so far in the innermost open term,
+    ``sucs`` the ``suc``s waiting for its next item; ``frames`` saves
+    ``bound`` at each open ``\x.``, and ``head`` and ``sucs`` at each ``(``."""
+    toks = _tokenize(src)
+    toks.reverse()  # read by popping, so each token is freed once it is read
+    head, sucs, bound, frames = None, 0, (), []
+    while True:
+        kind, text, pos = toks.pop()
+        if kind == "ident":
+            try:
+                item = Var(bound.index(text))
+            except ValueError:
+                raise LangError(f"unbound variable {text!r}", pos) from None
+        elif kind == "nat":
+            item = Lit(int(text))
+        elif kind == "(":
+            frames.append(("(", head, sucs))
+            head, sucs = None, 0
+            continue
+        elif kind == "suc":
+            sucs += 1
+            continue
+        elif kind == "\\" and head is None and not sucs:
+            frames.append(("\\", bound))
+            bound = (_expect(toks, "ident"),) + bound
+            _expect(toks, ".")
+            continue
+        else:
+            # any other token ends the innermost term, closing its binders
+            found = text or "end of input"
+            if sucs:
+                raise LangError(f"'suc' needs an argument, found {found!r}", pos)
+            if head is None:
+                raise LangError(f"expected a term, found {found!r}", pos)
+            item = head
+            while frames and frames[-1][0] == "\\":
+                bound = frames.pop()[1]
+                item = Lam(item)
+            if not frames:
+                if kind == "eof":
+                    return item
+                raise LangError(f"unexpected {text!r} after the term", pos)
+            if kind != ")":
+                raise LangError(f"expected ')', found {found!r}", pos)
+            _, head, sucs = frames.pop()
+        while sucs:
+            item, sucs = Suc(item), sucs - 1
+        head = item if head is None else App(head, item)
 
 
 def show(t) -> str:

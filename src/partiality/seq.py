@@ -20,9 +20,11 @@ Everything in between is ``UNKNOWN``, which more fuel may still resolve.
 Evaluation is lazy.  By monotonicity a scanned prefix is described by the
 number of cells pulled and the first done cell, all a ``Seq`` keeps, so its
 memory is O(1).  ``unit``, ``bottom``, ``shift`` and ``bind`` build ``Delay``
-graphs, whose nesting costs no Python frames.  A producer yields cells in
-index order and may stop right after its first done cell, since every later
-cell is that one; it may not stop before one.  A non-monotone producer raises
+graphs, whose nesting costs no Python frames, and bottom absorbs
+(``⊥ >>= f = ⊥``): ``shift``, ``unshift`` and ``bind`` return a sequence
+built never to converge as it is.  A producer yields cells in index order
+and may stop right after its first done cell, since every later cell is
+that one; it may not stop before one.  A non-monotone producer raises
 ``MonotonicityError`` at the offending index.  Use from a single thread.
 """
 
@@ -209,13 +211,11 @@ def from_fn(fn: Callable[[int], Any]) -> Seq:
 
 
 def shift(s: Seq) -> Seq:
-    return Seq(D.later(to_delay(s)), s.never_converges)
+    return s if s.never_converges else Seq(D.later(to_delay(s)))
 
 
 def unshift(s: Seq) -> Seq:
-    t = from_fn(lambda n: s.at(n + 1))
-    t.never_converges = s.never_converges
-    return t
+    return s if s.never_converges else from_fn(lambda n: s.at(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def bind(s: Seq, f: Callable[[Any], Seq]) -> Seq:
     pending.  It is ``Delay`` bind on the delayed views, so the sequence
     view and the delayed view of a composed computation agree cell for cell.
     """
-    return Seq(D.bind(to_delay(s), lambda a: to_delay(f(a))), s.never_converges)
+    return s if s.never_converges else Seq(D.bind(to_delay(s), lambda a: to_delay(f(a))))
 
 
 def map(s: Seq, fn: Callable[[Any], Any]) -> Seq:
@@ -319,7 +319,8 @@ def join(ss: Seq) -> Seq:
 def leq_within(s: Seq, t: Seq, fuel: int) -> Verdict:
     """Is every value ``s`` can finish with one that ``t`` finishes with too?
 
-    Fuel-bounded and three-valued, with ``TRUE``/``FALSE`` final:
+    Fuel-bounded and three-valued, with ``TRUE``/``FALSE`` final (negative
+    fuel is a ``ValueError``, whatever the two sides are):
 
     * ``TRUE`` when both sides converge within fuel to equal values, or when
       the question is settled structurally (same object; or ``s`` never
@@ -329,6 +330,8 @@ def leq_within(s: Seq, t: Seq, fuel: int) -> Verdict:
     * ``UNKNOWN`` otherwise; in particular a converged left against a silent
       right stays unknown forever, since divergence cannot be confirmed.
     """
+    if fuel < 0:
+        raise ValueError(f"negative fuel: {fuel}")
     if s is t or s.never_converges:
         return Verdict.TRUE
     ws = converges_within(s, fuel)

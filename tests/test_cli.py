@@ -1,7 +1,12 @@
 import argparse
+import os
+import subprocess
+import sys
 
 import pytest
 
+import partiality
+from partiality import cli
 from partiality.cli import main
 
 
@@ -173,3 +178,28 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run_cli(capsys, "search", "even", "1:1") == run_cli(capsys, "search", "even", "1:1")
     assert built.count("partiality") <= 1
+
+
+def test_laws_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_LAWS", [("always-fails", lambda rng: False)])
+    code, out, err = run_cli(capsys, "laws", "--count", "3")
+    assert (code, out, err) == (1, "always-fails: 0/3\nlaw failures detected\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["run", r"(\x. x) 5"], 0, "now 5 steps=1\n"),
+        (["run", "(1"], 1, ""),
+        (["vm", r"(\x. x x) (\x. x x)", "--fuel", "5"], 2, "timeout fuel=5\n"),
+        (["run", "1 2"], 3, "stuck\n"),
+    ],
+)
+def test_module_entry_point_exit_codes(argv, code, out):
+    # `python -m partiality` from a fresh interpreter that finds this package
+    src = os.path.dirname(os.path.dirname(partiality.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "partiality", *argv]
+    r = subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert (r.returncode, r.stdout) == (code, out)
+    assert r.stderr.startswith("error: ") if code == 1 else r.stderr == ""

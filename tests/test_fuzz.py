@@ -7,8 +7,9 @@
 * The CLI exits 0-3 on random and hostile argv and prints the same bytes
   when asked twice.
 
-Examples are derandomized, so every run draws the same inputs.  Known
-defects that belong to later work are strict ``xfail`` cases at the end.
+Examples are derandomized, so every run draws the same inputs.  Deep inputs
+come at the end; a known defect that belongs to later work is a strict
+``xfail`` case there.
 """
 
 import contextlib
@@ -228,7 +229,7 @@ def test_cli_huge_numbers_are_answers(argv, code):
     assert run_main(argv) == first
 
 
-# --- known defects, each named by its ROADMAP item ---------------------------
+# --- deep inputs; a known defect is a strict xfail naming its ROADMAP item ---
 
 
 def run_main_or_overflow(argv):
@@ -239,7 +240,6 @@ def run_main_or_overflow(argv):
         return "RecursionError"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: the parser recurses on term depth")
 def test_deep_program_runs_without_a_traceback():
     argv = ["run", "suc (" * 400 + "0" + ")" * 400]
     assert run_main_or_overflow(argv) == (0, "now 400 steps=0\n", "")

@@ -64,6 +64,47 @@ def test_show_parse_roundtrip_on_generated_terms():
         assert parse(show(t)) == t
 
 
+@pytest.mark.parametrize(
+    "src, message, pos",
+    [
+        (r"\ 1. x", "expected 'ident', found '1'", 2),
+        (r"\suc. 0", "expected 'ident', found 'suc'", 1),
+        (r"\x 1", "expected '.', found '1'", 3),
+        (")", "expected a term, found ')'", 0),
+        ("(suc)", "'suc' needs an argument, found ')'", 4),
+        ("(0 1", "expected ')', found 'end of input'", 4),
+        (r"\x. y", "unbound variable 'y'", 4),
+        ("0 )", "unexpected ')' after the term", 2),
+        ("0 #", "stray character '#'", 2),
+    ],
+)
+def test_parse_error_message_and_offset(src, message, pos):
+    with pytest.raises(lang.LangError) as ei:
+        parse(src)
+    assert ei.value.pos == pos
+    assert str(ei.value) == f"{message} (at offset {pos})"
+
+
+def test_parse_reads_any_nesting_depth():
+    depth = 10**5
+    t = parse("suc (" * (depth - 1) + "suc 0" + ")" * (depth - 1))
+    for _ in range(depth):
+        assert isinstance(t, Suc)
+        t = t.arg
+    assert t == Lit(0)
+
+
+def test_numerals_are_decimal_digits():
+    with pytest.raises(lang.LangError) as ei:
+        parse("²")  # superscript two is a digit, but not a decimal one
+    assert ei.value.pos == 0 and "stray character" in str(ei.value)
+    assert parse("١٢") == Lit(12)  # Arabic-Indic one, two
+
+
+def test_show_prints_a_free_index():
+    assert show(Var(3)) == "#3"
+
+
 # --- the interpreter -------------------------------------------------------
 
 

@@ -198,6 +198,11 @@ def test_cauchy_rejects_a_settling_gap_of_exactly_one(sign):
     assert reals.is_cauchy_prefix(lambda i: under if i == 3 else 0, 5)
 
 
+def test_equiv_rejects_negative_fuel():
+    with pytest.raises(ValueError):
+        reals.equiv_within(reals.const_real(1), reals.const_real(1), -1)
+
+
 def test_float_and_int_valued_reals():
     half = seq.converges_within(reals.is_positive(lambda n: 0.5), 10)
     assert half == Witness(1, 5)

@@ -120,6 +120,17 @@ def test_negative_fuel_is_rejected():
         seq.converges_within(seq.unit(1), -1)
 
 
+def test_order_checks_reject_negative_fuel_before_any_shortcut():
+    s = seq.unit(1)
+    for check in (
+        lambda: seq.leq_within(seq.bottom(), s, -1),  # bottom is below everything
+        lambda: seq.leq_within(s, s, -1),  # same object
+        lambda: seq.bisim_within(s, s, -1),
+    ):
+        with pytest.raises(ValueError):
+            check()
+
+
 # --- convergence observation -----------------------------------------------
 
 
@@ -176,6 +187,31 @@ def test_of_delay_memory_does_not_grow_with_fuel():
 
     peak(10)
     assert peak(10**5) < 16_384
+
+
+def test_bottom_absorbs():
+    def f(a):
+        raise AssertionError("f ran on a sequence that never converges")
+
+    b = seq.bottom()
+    assert seq.shift(b) is b and seq.unshift(b) is b
+    assert seq.bind(b, f) is b and seq.map(b, f) is b and seq.join(b) is b
+
+
+def test_scan_over_a_live_bottom_keeps_memory_flat():
+    # the caller keeps `s`; a scan of what is built on it must not keep its layers
+    def peak(fuel):
+        s = seq.map(seq.bottom(), str)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            seq.converges_within(seq.shift(s), fuel)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert peak(10**4) < 2 * peak(10**3) + 4096
 
 
 def test_to_delay_counts_pending_as_steps():
