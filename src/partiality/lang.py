@@ -14,7 +14,8 @@ parentheses on its own stack, so nesting has no depth limit.  Internally
 terms use de Bruijn indices.  There are two executable accounts:
 
 * ``eval`` — the obvious environment interpreter, made total by returning a
-  delayed value that takes one observable step per beta reduction;
+  delayed value that takes one observable step per beta reduction; a value
+  needs no bind (``return a >>= f = f a``), and the other binds are unshared;
 * ``compile``/``execute`` — a small stack machine, one observable step per
   closure call, whose code ``disassemble`` lists one instruction a line.
 
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from . import delay as D
 from . import seq
-from .delay import Delay, now, defer
+from .delay import Delay, _Owned, defer, now
 from .seq import Seq, Verdict
 
 
@@ -123,36 +124,54 @@ def render_value(v) -> str:
 # the definitional interpreter
 
 
-def _bind_value(d: Delay, k: Callable[[Any], Delay]) -> Delay:
-    # stuckness aborts: no continuation runs after the first stuck value
-    return D.bind(d, lambda v: now(STUCK) if v is STUCK else k(v))
+def _value(t, env: tuple):
+    # the value of a Var, Lit or Lam, which takes no step; None for the rest
+    if isinstance(t, Var):
+        return env[len(env) - 1 - t.index] if t.index < len(env) else STUCK
+    if isinstance(t, Lit):
+        return Nat(t.n)
+    if isinstance(t, Lam):
+        return Closure(t.body, env)
+    return None
+
+
+_UNIT = now(None)  # a source for work that should wait for the bind loop
 
 
 def evaluate(t, env: tuple = ()) -> Delay:
     """Call-by-value evaluation; one observable step per beta reduction."""
-    if isinstance(t, Var):
-        if t.index < len(env):
-            return now(env[len(env) - 1 - t.index])
-        return now(STUCK)
-    if isinstance(t, Lit):
-        return now(Nat(t.n))
-    if isinstance(t, Lam):
-        return now(Closure(t.body, env))
-    if isinstance(t, Suc):
-        return _bind_value(
-            evaluate(t.arg, env),
-            lambda v: now(Nat(v.n + 1)) if isinstance(v, Nat) else now(STUCK),
-        )
     if isinstance(t, App):
-        return _bind_value(
-            evaluate(t.fn, env),
-            lambda fv: _bind_value(evaluate(t.arg, env), lambda av: _apply(fv, av)),
-        )
-    raise TypeError(f"not a term: {t!r}")
+        fv = _value(t.fn, env)
+        if fv is None:
+            return _Owned(evaluate(t.fn, env), lambda fv: _call(fv, t.arg, env))
+        av = _value(t.arg, env)
+        if av is None and fv is not STUCK:
+            # built in the loop, so a right-nested argument costs no Python frames
+            return _Owned(_UNIT, lambda _: _call(fv, t.arg, env))
+        return _apply(fv, av)
+    if isinstance(t, Suc):
+        v = _value(t.arg, env)
+        return _suc(v) if v is not None else _Owned(evaluate(t.arg, env), _suc)
+    v = _value(t, env)
+    if v is None:
+        raise TypeError(f"not a term: {t!r}")
+    return now(v)
+
+
+def _suc(v) -> Delay:
+    return now(Nat(v.n + 1) if isinstance(v, Nat) else STUCK)
+
+
+def _call(fv, arg, env: tuple) -> Delay:
+    # stuckness aborts: a stuck function's argument never runs
+    av = _value(arg, env)
+    if av is None and fv is not STUCK:
+        return _Owned(evaluate(arg, env), lambda av: _apply(fv, av))
+    return _apply(fv, av)
 
 
 def _apply(fv, av) -> Delay:
-    if isinstance(fv, Closure):
+    if isinstance(fv, Closure) and av is not STUCK:
         return defer(lambda: evaluate(fv.body, fv.env + (av,)))
     return now(STUCK)
 

@@ -119,7 +119,7 @@ class Seq:
     ``never_converges`` is construction-time knowledge: it is set only when
     the way the sequence was built guarantees every cell is pending (e.g.
     ``bottom()``), and it is what lets the order checker certify vacuous
-    truths like "bottom is below everything".
+    truths like "bottom is below everything"; a scan of it pulls nothing.
     """
 
     __slots__ = ("_produce", "_iter", "_scanned", "_done", "_done_at", "_error", "never_converges")
@@ -147,6 +147,9 @@ class Seq:
         # re-raised on any further pull.
         if self._error is not None:
             raise self._error
+        if self.never_converges:
+            self._scanned = n + 1  # every cell is pending; there is nothing to pull
+            return
         if self._iter is None:
             # the source may hold what the iterator has already moved past
             src = self._produce

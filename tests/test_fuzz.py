@@ -3,7 +3,8 @@
 * A random tree of ``Seq`` operations agrees cell for cell with the same tree
   built on ``Delay`` and seen through ``of_delay``.
 * The interpreter and the stack machine give the same value after the same
-  number of steps on random terms, and ``show`` round-trips through ``parse``.
+  number of steps on random closed and open terms, and ``show`` round-trips
+  through ``parse`` on the closed ones.
 * The CLI exits 0-3 on random and hostile argv and prints the same bytes
   when asked twice.
 
@@ -14,6 +15,7 @@ come at the end; a known defect that belongs to later work is a strict
 
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,11 +142,7 @@ def test_to_delay_of_seq_trees_agrees_with_delay_trees(t):
 FUEL = 256
 
 
-@FUZZ
-@given(st.integers(0, 10**9), st.integers(0, 14))
-def test_interpreter_and_vm_agree_on_random_terms(seed, size):
-    t = lang.gen_term(seed, size)
-    assert lang.parse(lang.show(t)) == t
+def assert_back_ends_agree(t):
     r = D.run_fuel(lang.evaluate(t), FUEL)
     v = D.run_fuel(lang.execute(lang.compile_term(t)), FUEL)
     if r is D.TIMEOUT:
@@ -152,6 +150,40 @@ def test_interpreter_and_vm_agree_on_random_terms(seed, size):
     else:
         assert v is not D.TIMEOUT and v.steps == r.steps
         assert lang.observe_value(v.value) == lang.observe_value(r.value)
+
+
+@FUZZ
+@given(st.integers(0, 10**9), st.integers(0, 14))
+def test_interpreter_and_vm_agree_on_random_terms(seed, size):
+    t = lang.gen_term(seed, size)
+    assert lang.parse(lang.show(t)) == t
+    assert_back_ends_agree(t)
+
+
+def open_up(t, rng):
+    # some indices bumped, so a Var may point past every binder
+    if isinstance(t, lang.Var):
+        return lang.Var(t.index + rng.randrange(1, 4)) if rng.random() < 0.3 else t
+    if isinstance(t, lang.Lam):
+        return lang.Lam(open_up(t.body, rng))
+    if isinstance(t, lang.App):
+        return lang.App(open_up(t.fn, rng), open_up(t.arg, rng))
+    if isinstance(t, lang.Suc):
+        return lang.Suc(open_up(t.arg, rng))
+    return t
+
+
+@FUZZ
+@given(st.integers(0, 10**9), st.integers(0, 14), st.sampled_from(["bump", "wrap", "both"]))
+def test_interpreter_and_vm_agree_on_open_terms(seed, size, how):
+    # stuckness on a free variable must abort at the same point on both sides
+    rng = random.Random(seed)
+    t = lang.gen_term(rng, size)
+    if how != "wrap":
+        t = open_up(t, rng)
+    if how != "bump":
+        t = lang.App(lang.Var(rng.randrange(3)), t)
+    assert_back_ends_agree(t)
 
 
 # --- CLI contract ------------------------------------------------------------
@@ -243,6 +275,21 @@ def run_main_or_overflow(argv):
 def test_deep_program_runs_without_a_traceback():
     argv = ["run", "suc (" * 400 + "0" + ")" * 400]
     assert run_main_or_overflow(argv) == (0, "now 400 steps=0\n", "")
+
+
+@pytest.mark.parametrize(
+    "program, fuel, answer",
+    [
+        ("0 (" * 3000 + "0" + ")" * 3000, "1000", (3, "stuck\n", "")),
+        (r"(\x. x) (" * 3000 + "0" + ")" * 3000, "3000", (0, "now 0 steps=3000\n", "")),
+        ("suc (" * 900 + "0" + ")" * 900, "1000", (0, "now 900 steps=0\n", "")),
+        ("(" * 900 + "0" + " 0)" * 900, "1000", (3, "stuck\n", "")),
+    ],
+    ids=["right-nested-0", "right-nested-id", "suc", "left-nested"],
+)
+def test_deep_programs_run_at_the_depths_they_reach(program, fuel, answer):
+    # the argument of a value function is built in the bind loop, not eagerly
+    assert run_main_or_overflow(["run", program, "--fuel", fuel]) == answer
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: lfp unrolling recurses once per element")

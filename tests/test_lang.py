@@ -243,3 +243,47 @@ def test_vm_tail_calls_keep_memory_flat():
     peak(10)
     small, large = peak(10**4), peak(10**5)
     assert large < 16_384 and large < 2 * small
+
+
+def test_interpreter_work_per_step_is_flat(monkeypatch):
+    # the growing term's context deepens by one `suc` a step; the binds built
+    # per step must not grow with it (a cap stops a run that builds too many)
+    built, cap = [0], [0]
+    init = D._Bind.__init__
+
+    def counting_init(self, src, f):
+        built[0] += 1
+        if built[0] > cap[0]:
+            raise AssertionError(f"more than {cap[0]} binds built")
+        init(self, src, f)
+
+    monkeypatch.setattr(D._Bind, "__init__", counting_init)
+    t = parse(r"(\f. f f) (\f. suc (f f))")
+    per_step = []
+    for fuel in (10**3, 10**4):
+        built[0], cap[0] = 0, 4 * fuel
+        assert run(t, fuel) is D.TIMEOUT
+        per_step.append(built[0] / fuel)
+    assert per_step[1] <= per_step[0] + 0.01
+
+
+def test_stuck_aborts_before_the_argument_on_open_terms():
+    for t in (App(Var(5), OMEGA), App(Lit(1), App(Var(9), OMEGA))):
+        assert run(t, 50) == vm(t, 50) == D.Converged(STUCK, 0)
+    t = App(OMEGA, Var(7))
+    assert run(t, 500) is D.TIMEOUT and vm(t, 500) is D.TIMEOUT
+
+
+def test_one_run_observed_twice_gives_the_same_answer(rng):
+    # through a public bind first, which splices the run, then directly
+    terms = [parse(r"(\f. f (f 1)) (\x. suc x)"), parse(r"suc ((\x. suc x) ((\y. y) 2))")]
+    terms += [gen_term(rng, size=10) for _ in range(200)]
+    for t in terms:
+        d = evaluate(t)
+        seen = D.run_fuel(D.map(d, lang.observe_value), 128)
+        r = D.run_fuel(d, 128)
+        assert D.run_fuel(d, 128) == r
+        if r is D.TIMEOUT:
+            assert seen is D.TIMEOUT
+        else:
+            assert seen == D.Converged(lang.observe_value(r.value), r.steps)

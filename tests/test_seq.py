@@ -214,6 +214,17 @@ def test_scan_over_a_live_bottom_keeps_memory_flat():
     assert peak(10**4) < 2 * peak(10**3) + 4096
 
 
+def test_a_flagged_bottom_pulls_nothing():
+    def produce():
+        raise AssertionError("a sequence built never to converge was pulled")
+
+    s = seq.Seq(produce, never_converges=True)
+    assert s.at(10**9) is PENDING and seq.converges_within(s, 10**12) is None
+    b = seq.bottom()
+    assert seq.converges_within(b, 10**9) is None and b.at(10**9 + 1) is PENDING
+    assert seq.to_delay(b) is D.never()
+
+
 def test_to_delay_counts_pending_as_steps():
     r = D.run_fuel(seq.to_delay(shift_n(seq.unit(8), 2)), 10)
     assert r.value == 8 and r.steps == 2
