@@ -40,8 +40,9 @@ def _parse_term(arg: str):
 # run / vm / compile
 
 
-def _report_run(d, fuel: int) -> int:
-    r = delay.run_fuel(d, fuel)
+def _report_run(r, fuel: int) -> int:
+    # takes the answer, not the run: a caller holding the head of a run keeps
+    # every step it has observed alive, so memory would grow with the fuel
     if r is TIMEOUT:
         print(f"timeout fuel={fuel}")
         return 2
@@ -53,11 +54,13 @@ def _report_run(d, fuel: int) -> int:
 
 
 def cmd_run(args) -> int:
-    return _report_run(lang.evaluate(_parse_term(args.program)), args.fuel)
+    t = _parse_term(args.program)
+    return _report_run(delay.run_fuel(lang.evaluate(t), args.fuel), args.fuel)
 
 
 def cmd_vm(args) -> int:
-    return _report_run(lang.execute(lang.compile_term(_parse_term(args.program))), args.fuel)
+    code = lang.compile_term(_parse_term(args.program))
+    return _report_run(delay.run_fuel(lang.execute(code), args.fuel), args.fuel)
 
 
 def cmd_compile(args) -> int:

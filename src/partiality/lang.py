@@ -18,6 +18,10 @@ terms use de Bruijn indices.  There are two executable accounts:
   needs no bind (``return a >>= f = f a``), and the other binds are unshared;
 * ``compile``/``execute`` — a small stack machine, one observable step per
   closure call, whose code ``disassemble`` lists one instruction a line.
+  A step is one node that holds the code and environment the call enters
+  and the run's stack and frames; a module-level loop runs it to the next
+  call, so a run builds no closure and no reference cycle.  ``compile_term``
+  and ``disassemble`` keep their own stacks, so code may nest to any depth.
 
 Both get stuck on the same ill-typed operations (calling a number, taking
 the successor of a function), and stuckness is abortive: the first stuck
@@ -35,7 +39,7 @@ from typing import Any
 
 from . import delay as D
 from . import seq
-from .delay import Delay, _Owned, defer, now
+from .delay import Delay, Later, Now, _Owned, defer, now
 from .seq import Seq, Verdict
 
 
@@ -216,35 +220,125 @@ class VmClosure:
     env: tuple
 
 
+_APPLY, _ADD1, _RET = Apply(), Add1(), Ret()
+
+
 def compile_term(t) -> tuple:
-    """Flatten a term to machine code; closure bodies end in ``Ret``."""
-    if isinstance(t, Var):
-        return (PushVar(t.index),)
-    if isinstance(t, Lit):
-        return (PushLit(t.n),)
-    if isinstance(t, Lam):
-        return (PushClo(compile_term(t.body) + (Ret(),)),)
-    if isinstance(t, Suc):
-        return compile_term(t.arg) + (Add1(),)
-    if isinstance(t, App):
-        return compile_term(t.fn) + compile_term(t.arg) + (Apply(),)
-    raise TypeError(f"not a term: {t!r}")
+    """Flatten a term to machine code; closure bodies end in ``Ret``.
+
+    One loop with its own stack: it descends into a term's first subterm at
+    once and leaves on ``todo`` what must follow that subterm, a shared
+    instruction to emit or an argument still to compile; ``outer`` holds the
+    code of each enclosing lambda while its body is compiled."""
+    code, outer, todo = [], [], []
+    while True:
+        ty = type(t)
+        if ty is App:
+            todo += (_APPLY, t.arg)
+            t = t.fn
+        elif ty is Lam:
+            outer.append(code)
+            code, t = [], t.body
+            todo.append(_RET)
+        elif ty is Suc:
+            todo.append(_ADD1)
+            t = t.arg
+        else:
+            if ty is Var:
+                code.append(PushVar(t.index))
+            elif ty is Lit:
+                code.append(PushLit(t.n))
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            # a leaf completes the subterms waiting on it, up to the next argument
+            while todo:
+                t = todo.pop()
+                if t is _APPLY or t is _ADD1:
+                    code.append(t)
+                elif t is _RET:
+                    code.append(t)
+                    body, code = tuple(code), outer.pop()
+                    code.append(PushClo(body))
+                else:
+                    break
+            else:
+                return tuple(code)
 
 
 def disassemble(code: tuple) -> list[str]:
     """The listing of machine code: one line per instruction, nested code indented."""
-    lines = []
-    for ins in code:
-        if isinstance(ins, PushClo):
-            lines.append("pushclo:")
-            lines.extend("  " + line for line in disassemble(ins.code))
-        elif isinstance(ins, PushLit):
-            lines.append(f"pushlit {ins.n}")
-        elif isinstance(ins, PushVar):
-            lines.append(f"pushvar {ins.index}")
+    lines, outer, indent, rest = [], [], "", iter(code)
+    while True:
+        for ins in rest:
+            if isinstance(ins, PushClo):
+                lines.append(indent + "pushclo:")
+                outer.append((indent, rest))  # resumed once the nested code is listed
+                indent, rest = indent + "  ", iter(ins.code)
+                break
+            if isinstance(ins, PushLit):
+                lines.append(f"{indent}pushlit {ins.n}")
+            elif isinstance(ins, PushVar):
+                lines.append(f"{indent}pushvar {ins.index}")
+            else:
+                lines.append(indent + type(ins).__name__.lower())
         else:
-            lines.append(type(ins).__name__.lower())
-    return lines
+            if not outer:
+                return lines
+            indent, rest = outer.pop()
+
+
+class _Call(Delay):
+    """One step of a run: the code and environment a closure call enters,
+    and the run's ``(stack, frames)``, which all of its steps share."""
+
+    __slots__ = ("_code", "_env", "_machine")
+
+    def __init__(self, code: tuple, env: tuple, machine: tuple):
+        self._code, self._env, self._machine, self._observed = code, env, machine, None
+
+    def observe(self) -> "Now | Later":
+        if self._observed is None:
+            self._observed = _run(self._code, self._env, self._machine)
+            self._code = self._env = self._machine = None
+        return self._observed
+
+
+def _run(code: tuple, env: tuple, machine: tuple) -> "Now | Later":
+    # run until the next closure call, or the end of the outermost code
+    stack, frames = machine
+    pc, end = 0, len(code)
+    while pc < end:
+        ins = code[pc]
+        pc += 1
+        ty = type(ins)
+        if ty is PushVar:
+            i = len(env) - 1 - ins.index
+            if i < 0:
+                return Now(STUCK)
+            stack.append(env[i])
+        elif ty is Apply:
+            av = stack.pop()
+            fv = stack.pop()
+            if type(fv) is not VmClosure:
+                return Now(STUCK)
+            if pc == end or type(code[pc]) is not Ret:
+                frames.append((code, pc, env))  # a tail call, just before Ret, needs none
+            return Later(_Call(fv.code, fv.env + (av,), machine))
+        elif ty is Ret:
+            code, pc, env = frames.pop()
+            end = len(code)
+        elif ty is PushClo:
+            stack.append(VmClosure(ins.code, env))
+        elif ty is PushLit:
+            stack.append(Nat(ins.n))
+        elif ty is Add1:
+            v = stack.pop()
+            if type(v) is not Nat:
+                return Now(STUCK)
+            stack.append(Nat(v.n + 1))
+        else:
+            raise TypeError(f"not an instruction: {ins!r}")
+    return Now(stack[-1])
 
 
 def execute(code: tuple) -> Delay:
@@ -253,43 +347,7 @@ def execute(code: tuple) -> Delay:
     Ill-typed operations halt the whole machine with ``STUCK`` — the frame
     stack is abandoned, matching the interpreter's abortive stuckness.
     """
-
-    def run(code: tuple, pc: int, env: tuple, stack: list, frames: list) -> "D.Now | D.Later":
-        while True:
-            if pc == len(code):
-                # only the outermost code segment may run off the end
-                return D.Now(stack[-1])
-            ins = code[pc]
-            pc += 1
-            if isinstance(ins, PushLit):
-                stack.append(Nat(ins.n))
-            elif isinstance(ins, PushVar):
-                if ins.index < len(env):
-                    stack.append(env[len(env) - 1 - ins.index])
-                else:
-                    return D.Now(STUCK)
-            elif isinstance(ins, PushClo):
-                stack.append(VmClosure(ins.code, env))
-            elif isinstance(ins, Apply):
-                av = stack.pop()
-                fv = stack.pop()
-                if not isinstance(fv, VmClosure):
-                    return D.Now(STUCK)
-                if pc == len(code) or not isinstance(code[pc], Ret):
-                    frames.append((code, pc, env))  # a tail call, just before Ret, needs none
-                ncode, nenv = fv.code, fv.env + (av,)
-                return D.Later(Delay(lambda: run(ncode, 0, nenv, stack, frames)))
-            elif isinstance(ins, Add1):
-                v = stack.pop()
-                if not isinstance(v, Nat):
-                    return D.Now(STUCK)
-                stack.append(Nat(v.n + 1))
-            elif isinstance(ins, Ret):
-                code, pc, env = frames.pop()
-            else:
-                raise TypeError(f"not an instruction: {ins!r}")
-
-    return Delay(lambda: run(code, 0, (), [], []))
+    return _Call(code, (), ([], []))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import argparse
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -165,6 +167,23 @@ def test_negative_count_is_bad_input(capsys):
 def test_run_growing_context_times_out_like_vm(capsys):
     src = r"(\f. f f) (\f. suc (f f))"
     assert run_cli(capsys, "run", src) == run_cli(capsys, "vm", src) == (2, "timeout fuel=1000\n", "")
+
+
+@pytest.mark.parametrize("command", ["run", "vm"])
+def test_timeout_memory_does_not_grow_with_fuel(capsys, command):
+    # the command keeps only the answer, not the steps of the run behind it
+    def peak(fuel):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main([command, r"(\x. x x) (\x. x x)", "--fuel", str(fuel)]) == 2
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(10)
+    assert peak(10**4) < 2 * peak(10**3) + 4096
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

@@ -292,6 +292,25 @@ def test_deep_programs_run_at_the_depths_they_reach(program, fuel, answer):
     assert run_main_or_overflow(["run", program, "--fuel", fuel]) == answer
 
 
+@pytest.mark.parametrize(
+    "program, answer",
+    [
+        ("suc (" * 3000 + "0" + ")" * 3000, (0, "now 3000 steps=0\n", "")),
+        ("\\x. " * 3000 + "x", (0, "now <closure> steps=0\n", "")),
+        ("(" * 3000 + "0" + " 0)" * 3000, (3, "stuck\n", "")),
+        ("0 (" * 3000 + "0" + ")" * 3000, (3, "stuck\n", "")),
+    ],
+    ids=["suc", "lambdas", "left-nested", "right-nested"],
+)
+def test_vm_answers_deep_programs(program, answer):
+    assert run_main_or_overflow(["vm", program]) == answer
+
+
+def test_compile_lists_a_deep_program():
+    listing = "pushlit 0\n" + "add1\n" * 3000
+    assert run_main_or_overflow(["compile", "suc (" * 3000 + "0" + ")" * 3000]) == (0, listing, "")
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: lfp unrolling recurses once per element")
 def test_deep_search_runs_without_a_traceback():
     argv = ["search", "ge:1100", "0", "--fuel", "1000000"]

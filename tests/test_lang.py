@@ -287,3 +287,83 @@ def test_one_run_observed_twice_gives_the_same_answer(rng):
             assert seen is D.TIMEOUT
         else:
             assert seen == D.Converged(lang.observe_value(r.value), r.steps)
+
+
+# --- the machine's step node -----------------------------------------------
+
+
+def test_vm_runs_leave_no_reference_cycles():
+    # each run must be freed by reference counting alone, with no collector
+    t = parse(r"(\f. f (f 1)) (\x. suc x)")
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(100):
+            D.run_fuel(execute(compile_term(t)), 10)
+        assert gc.collect() == 0
+        for _ in range(100):
+            agree_within(t, 10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_vm_step_observed_twice_is_the_same_layer():
+    d = execute(compile_term(parse(r"(\f. f (f 1)) (\x. suc x)")))
+    first = d.observe()
+    assert d.observe() is first
+    assert first.rest.observe() is first.rest.observe()
+
+
+def test_vm_step_observed_again_later_returns_its_memo(monkeypatch):
+    d = execute(compile_term(parse(r"(\f. f (f 1)) (\x. suc x)")))
+    first = d.observe()
+    assert D.run_fuel(first.rest, 10) == D.Converged(Nat(3), 2)
+    calls = [0]
+    run = lang._run
+
+    def counting_run(*args):
+        calls[0] += 1
+        return run(*args)
+
+    monkeypatch.setattr(lang, "_run", counting_run)
+    assert d.observe() is first
+    assert D.run_fuel(d, 10) == D.Converged(Nat(3), 3)
+    assert calls[0] == 0
+
+
+def test_vm_runs_of_the_same_code_share_no_stack(rng):
+    def alternately(a, b, fuel):
+        # one layer of each run in turn, as run_fuel would take them
+        runs = [[a, None, 0], [b, None, 0]]
+        for _ in range(fuel + 1):
+            for r in runs:
+                if r[1] is None:
+                    ob = r[0].observe()
+                    if isinstance(ob, D.Now):
+                        r[1] = D.Converged(ob.value, r[2])
+                    elif r[2] < fuel:
+                        r[0], r[2] = ob.rest, r[2] + 1
+                    else:
+                        r[1] = D.TIMEOUT
+        return runs[0][1], runs[1][1]
+
+    terms = [parse(r"(\f. f (f 1)) (\x. suc x)"), OMEGA]
+    terms += [gen_term(rng, size=10) for _ in range(200)]
+    for t in terms:
+        code = compile_term(t)
+        alone = D.run_fuel(execute(code), 64)
+        assert alternately(execute(code), execute(code), 64) == (alone, alone)
+
+
+def test_non_terms_and_non_instructions_are_type_errors():
+    for t in ("x", App(Lit(0), "x"), Lam(lang.Ret())):
+        with pytest.raises(TypeError, match="not a term"):
+            compile_term(t)
+    with pytest.raises(TypeError, match="not an instruction"):
+        D.run_fuel(execute((lang.PushLit(1), "x")), 1)
+
+
+def test_compile_term_is_stack_safe():
+    t = parse("suc (" * 100_000 + "0" + ")" * 100_000)
+    assert len(compile_term(t)) == 100_001
