@@ -11,9 +11,6 @@ after one layer no matter what the computation does.
 ``bind`` builds a node that one loop observes: binds waiting on their source
 sit on an explicit list, so nesting binds costs no Python frames, and each
 node memoizes its own layer, so a node shared by several binds runs once.
-An unshared bind (``_Owned``, made for one consumer alone, as ``lang`` does)
-is spliced instead: its continuation joins the front of the consumer's list,
-with no memo, so a step costs O(1) however deep such binds nest.
 """
 
 from __future__ import annotations
@@ -132,34 +129,24 @@ class _Bind(Delay):
 
     def observe(self) -> "Now | Later":
         # The loop.  Binds whose layer is not known yet wait on a list; a bind
-        # whose source is done holds f's result in place of both.  ``_f`` is a
-        # continuation, or a list ``(k, rest)`` once an unshared source is
-        # spliced in.  After an exception the waiting binds are unobserved
-        # again, meaning what they meant before.
+        # whose source is done holds f's result in place of both.  After an
+        # exception the waiting binds are unobserved again, as they were.
         if self._observed is None:
             d, waiting = self, []
             try:
                 while True:
                     while isinstance(d, _Bind) and d._observed is None:
-                        if type(d) is _Owned and waiting:
-                            b = waiting[-1]
-                            b._f = d._f if b._f is None else (d._f, b._f)
-                            b._src = d = d._src
-                        else:
-                            d._observed = _BUSY
-                            waiting.append(d)
-                            d = d._src
+                        d._observed = _BUSY
+                        waiting.append(d)
+                        d = d._src
                     ob = d.observe()
                     while waiting:
                         b = waiting[-1]
                         f = b._f
                         if f is not None:
                             if isinstance(ob, Now):
-                                rest = None
-                                while type(f) is tuple:
-                                    f, rest = f[0], f[1] if rest is None else (f[1], rest)
-                                b._src = d = f(ob.value)  # f leaves the list once it returns
-                                b._f = rest
+                                b._src = d = f(ob.value)  # f leaves the node once it returns
+                                b._f = None
                                 break
                             ob = Later(_Bind(ob.rest, f))
                         b._observed = ob
@@ -174,10 +161,6 @@ class _Bind(Delay):
         elif self._observed is _BUSY:
             raise ValueError("a bind needs its own value before it takes a step")
         return self._observed
-
-
-class _Owned(_Bind):
-    __slots__ = ()
 
 
 def map(d: Delay, fn: Callable[[Any], Any]) -> Delay:

@@ -14,8 +14,10 @@ parentheses on its own stack, so nesting has no depth limit.  Internally
 terms use de Bruijn indices.  There are two executable accounts:
 
 * ``eval`` — the obvious environment interpreter, made total by returning a
-  delayed value that takes one observable step per beta reduction; a value
-  needs no bind (``return a >>= f = f a``), and the other binds are unshared;
+  delayed value that takes one observable step per beta reduction.  It keeps
+  its continuations on its own stack, the defunctionalized monadic
+  interpreter, with the same values, steps and evaluation order; a step is
+  one node, as in the machine below, so a term may nest to any depth;
 * ``compile``/``execute`` — a small stack machine, one observable step per
   closure call, whose code ``disassemble`` lists one instruction a line.
   A step is one node that holds the code and environment the call enters
@@ -39,7 +41,7 @@ from typing import Any
 
 from . import delay as D
 from . import seq
-from .delay import Delay, Later, Now, _Owned, defer, now
+from .delay import Delay, Later, Now
 from .seq import Seq, Verdict
 
 
@@ -122,62 +124,6 @@ def render_value(v) -> str:
     if v is STUCK:
         return "stuck"
     return "<closure>"
-
-
-# ---------------------------------------------------------------------------
-# the definitional interpreter
-
-
-def _value(t, env: tuple):
-    # the value of a Var, Lit or Lam, which takes no step; None for the rest
-    if isinstance(t, Var):
-        return env[len(env) - 1 - t.index] if t.index < len(env) else STUCK
-    if isinstance(t, Lit):
-        return Nat(t.n)
-    if isinstance(t, Lam):
-        return Closure(t.body, env)
-    return None
-
-
-_UNIT = now(None)  # a source for work that should wait for the bind loop
-
-
-def evaluate(t, env: tuple = ()) -> Delay:
-    """Call-by-value evaluation; one observable step per beta reduction."""
-    if isinstance(t, App):
-        fv = _value(t.fn, env)
-        if fv is None:
-            return _Owned(evaluate(t.fn, env), lambda fv: _call(fv, t.arg, env))
-        av = _value(t.arg, env)
-        if av is None and fv is not STUCK:
-            # built in the loop, so a right-nested argument costs no Python frames
-            return _Owned(_UNIT, lambda _: _call(fv, t.arg, env))
-        return _apply(fv, av)
-    if isinstance(t, Suc):
-        v = _value(t.arg, env)
-        return _suc(v) if v is not None else _Owned(evaluate(t.arg, env), _suc)
-    v = _value(t, env)
-    if v is None:
-        raise TypeError(f"not a term: {t!r}")
-    return now(v)
-
-
-def _suc(v) -> Delay:
-    return now(Nat(v.n + 1) if isinstance(v, Nat) else STUCK)
-
-
-def _call(fv, arg, env: tuple) -> Delay:
-    # stuckness aborts: a stuck function's argument never runs
-    av = _value(arg, env)
-    if av is None and fv is not STUCK:
-        return _Owned(evaluate(arg, env), lambda av: _apply(fv, av))
-    return _apply(fv, av)
-
-
-def _apply(fv, av) -> Delay:
-    if isinstance(fv, Closure) and av is not STUCK:
-        return defer(lambda: evaluate(fv.body, fv.env + (av,)))
-    return now(STUCK)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +297,70 @@ def execute(code: tuple) -> Delay:
 
 
 # ---------------------------------------------------------------------------
+# the definitional interpreter
+
+
+def evaluate(t, env: tuple = ()) -> Delay:
+    """Call-by-value evaluation; one observable step per beta reduction."""
+    return _Eval(t, env, [])
+
+
+class _Eval(_Call):
+    """One step of an interpreter run: the term and environment to evaluate,
+    and the run's stack of pending continuations, which all of its steps share."""
+
+    __slots__ = ()
+
+    def observe(self) -> "Now | Later":
+        if self._observed is None:
+            self._observed = _eval(self._code, self._env, self._machine)
+            self._code = self._env = self._machine = None
+        return self._observed
+
+
+_SUC = object()  # the continuation that takes the successor of a value
+
+
+def _eval(t, env: tuple, konts: list) -> "Now | Later":
+    # evaluate until the next beta reduction, or the value of the whole run;
+    # ``konts`` holds ``_SUC``, an argument ``(term, env)`` still to evaluate,
+    # or a function value waiting for its argument's value
+    while True:
+        ty = type(t)
+        if ty is App:
+            konts.append((t.arg, env))
+            t = t.fn
+        elif ty is Suc:
+            konts.append(_SUC)
+            t = t.arg
+        else:
+            if ty is Var:
+                v = env[len(env) - 1 - t.index] if t.index < len(env) else STUCK
+            elif ty is Lit:
+                v = Nat(t.n)
+            elif ty is Lam:
+                v = Closure(t.body, env)
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            # hand the value on until a continuation has a term to evaluate;
+            # stuckness aborts, so a stuck function's argument never runs
+            while v is not STUCK and konts:
+                k = konts.pop()
+                if k is _SUC:
+                    v = Nat(v.n + 1) if type(v) is Nat else STUCK
+                elif type(k) is tuple:
+                    konts.append(v)
+                    t, env = k
+                    break
+                elif type(k) is Closure:
+                    return Later(_Eval(k.body, k.env + (v,), konts))
+                else:
+                    return Now(STUCK)
+            else:
+                return Now(v)
+
+
+# ---------------------------------------------------------------------------
 # agreement of the two accounts
 
 
@@ -425,18 +435,19 @@ def _expect(toks, kind: str) -> str:
 
 def parse(src: str):
     r"""``head`` is the application read so far in the innermost open term,
-    ``sucs`` the ``suc``s waiting for its next item; ``frames`` saves
-    ``bound`` at each open ``\x.``, and ``head`` and ``sucs`` at each ``(``."""
+    ``sucs`` the ``suc``s waiting for its next item; ``frames`` saves the name
+    of each open ``\x.``, and ``head`` and ``sucs`` at each ``(``.  ``scopes``
+    maps a name to the depths of the open binders of that name."""
     toks = _tokenize(src)
     toks.reverse()  # read by popping, so each token is freed once it is read
-    head, sucs, bound, frames = None, 0, (), []
+    head, sucs, frames, scopes, depth = None, 0, [], {}, 0
     while True:
         kind, text, pos = toks.pop()
         if kind == "ident":
-            try:
-                item = Var(bound.index(text))
-            except ValueError:
-                raise LangError(f"unbound variable {text!r}", pos) from None
+            binders = scopes.get(text)
+            if not binders:
+                raise LangError(f"unbound variable {text!r}", pos)
+            item = Var(depth - 1 - binders[-1])
         elif kind == "nat":
             item = Lit(int(text))
         elif kind == "(":
@@ -447,9 +458,11 @@ def parse(src: str):
             sucs += 1
             continue
         elif kind == "\\" and head is None and not sucs:
-            frames.append(("\\", bound))
-            bound = (_expect(toks, "ident"),) + bound
+            name = _expect(toks, "ident")
             _expect(toks, ".")
+            frames.append(("\\", name))
+            scopes.setdefault(name, []).append(depth)
+            depth += 1
             continue
         else:
             # any other token ends the innermost term, closing its binders
@@ -460,7 +473,8 @@ def parse(src: str):
                 raise LangError(f"expected a term, found {found!r}", pos)
             item = head
             while frames and frames[-1][0] == "\\":
-                bound = frames.pop()[1]
+                scopes[frames.pop()[1]].pop()
+                depth -= 1
                 item = Lam(item)
             if not frames:
                 if kind == "eof":

@@ -144,9 +144,9 @@ def test_observation_after_an_exception_resumes():
     assert calls == [1, 1]
 
 
-def test_unshared_binds_splice_and_resume_after_an_exception():
-    # the failed run leaves the outer node holding the rest of its list; a
-    # public bind on it then splices a list inside a list
+def test_bind_chain_resumes_after_an_exception_in_the_middle():
+    # the binds below the failed one keep their layers, and a bind on the
+    # chain then runs each of the rest once
     calls = []
 
     def inc(a):
@@ -157,19 +157,19 @@ def test_unshared_binds_splice_and_resume_after_an_exception():
 
     d = D.now(0)
     for _ in range(5):
-        d = D._Owned(d, inc)
+        d = D.bind(d, inc)
     with pytest.raises(KeyError):
         D.run_fuel(d, 0)
     assert D.run_fuel(D.map(d, str), 0) == D.Converged("5", 0)
     assert calls == [0, 1, 2, 2, 3, 4]
 
 
-def test_unshared_binds_keep_steps_and_a_shared_source_runs_once():
+def test_long_bind_chain_keeps_steps_and_a_shared_source_runs_once():
     calls = []
     shared = D.bind(D.later(D.now(1)), lambda a: calls.append(a) or D.later(D.now(a)))
     d = shared
     for k in range(10**4):
-        d = D._Owned(d, lambda a, k=k: D.later(D.now(a + k)) if k % 100 == 0 else D.now(a + k))
+        d = D.bind(d, lambda a, k=k: D.later(D.now(a + k)) if k % 100 == 0 else D.now(a + k))
     both = D.bind(shared, lambda a: D.map(d, lambda b: (a, b)))
     assert D.run_fuel(both, 10**3) == D.Converged((1, 1 + sum(range(10**4))), 2 + 2 + 100)
     assert calls == [1]

@@ -284,8 +284,17 @@ def test_deep_program_runs_without_a_traceback():
         (r"(\x. x) (" * 3000 + "0" + ")" * 3000, "3000", (0, "now 0 steps=3000\n", "")),
         ("suc (" * 900 + "0" + ")" * 900, "1000", (0, "now 900 steps=0\n", "")),
         ("(" * 900 + "0" + " 0)" * 900, "1000", (3, "stuck\n", "")),
+        ("suc (" * 3000 + "0" + ")" * 3000, "1000", (0, "now 3000 steps=0\n", "")),
+        ("(" * 3000 + "0" + " 0)" * 3000, "1000", (3, "stuck\n", "")),
+        ("suc (" * 10**5 + "0" + ")" * 10**5, "1000", (0, "now 100000 steps=0\n", "")),
+        ("\\x. " * 10**5 + "x", "1000", (0, "now <closure> steps=0\n", "")),
+        ("(" * 10**5 + "0" + " 0)" * 10**5, "1000", (3, "stuck\n", "")),
+        ("0 (" * 10**5 + "0" + ")" * 10**5, "1000", (3, "stuck\n", "")),
     ],
-    ids=["right-nested-0", "right-nested-id", "suc", "left-nested"],
+    ids=[
+        "right-nested-0", "right-nested-id", "suc", "left-nested", "suc-3000", "left-nested-3000",
+        "suc-1e5", "lambdas-1e5", "left-nested-1e5", "right-nested-1e5",
+    ],
 )
 def test_deep_programs_run_at_the_depths_they_reach(program, fuel, answer):
     # the argument of a value function is built in the bind loop, not eagerly
@@ -299,8 +308,12 @@ def test_deep_programs_run_at_the_depths_they_reach(program, fuel, answer):
         ("\\x. " * 3000 + "x", (0, "now <closure> steps=0\n", "")),
         ("(" * 3000 + "0" + " 0)" * 3000, (3, "stuck\n", "")),
         ("0 (" * 3000 + "0" + ")" * 3000, (3, "stuck\n", "")),
+        ("suc (" * 10**5 + "0" + ")" * 10**5, (0, "now 100000 steps=0\n", "")),
+        ("\\x. " * 10**5 + "x", (0, "now <closure> steps=0\n", "")),
+        ("(" * 10**5 + "0" + " 0)" * 10**5, (3, "stuck\n", "")),
+        ("0 (" * 10**5 + "0" + ")" * 10**5, (3, "stuck\n", "")),
     ],
-    ids=["suc", "lambdas", "left-nested", "right-nested"],
+    ids=["suc", "lambdas", "left-nested", "right-nested", "suc-1e5", "lambdas-1e5", "left-nested-1e5", "right-nested-1e5"],
 )
 def test_vm_answers_deep_programs(program, answer):
     assert run_main_or_overflow(["vm", program]) == answer

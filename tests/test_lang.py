@@ -94,6 +94,21 @@ def test_parse_reads_any_nesting_depth():
     assert t == Lit(0)
 
 
+def test_parse_memory_is_linear_in_binder_depth():
+    def peak(n):
+        src = "\\x. " * n + "x"
+        gc.collect()  # empties the free lists, which would hide some allocations
+        tracemalloc.start()
+        try:
+            parse(src)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1000), peak(2000)
+    assert large < 2.5 * small and large < 2_000_000
+
+
 def test_numerals_are_decimal_digits():
     with pytest.raises(lang.LangError) as ei:
         parse("²")  # superscript two is a digit, but not a decimal one
@@ -332,22 +347,23 @@ def test_vm_step_observed_again_later_returns_its_memo(monkeypatch):
     assert calls[0] == 0
 
 
-def test_vm_runs_of_the_same_code_share_no_stack(rng):
-    def alternately(a, b, fuel):
-        # one layer of each run in turn, as run_fuel would take them
-        runs = [[a, None, 0], [b, None, 0]]
-        for _ in range(fuel + 1):
-            for r in runs:
-                if r[1] is None:
-                    ob = r[0].observe()
-                    if isinstance(ob, D.Now):
-                        r[1] = D.Converged(ob.value, r[2])
-                    elif r[2] < fuel:
-                        r[0], r[2] = ob.rest, r[2] + 1
-                    else:
-                        r[1] = D.TIMEOUT
-        return runs[0][1], runs[1][1]
+def alternately(a, b, fuel):
+    # one layer of each run in turn, as run_fuel would take them
+    runs = [[a, None, 0], [b, None, 0]]
+    for _ in range(fuel + 1):
+        for r in runs:
+            if r[1] is None:
+                ob = r[0].observe()
+                if isinstance(ob, D.Now):
+                    r[1] = D.Converged(ob.value, r[2])
+                elif r[2] < fuel:
+                    r[0], r[2] = ob.rest, r[2] + 1
+                else:
+                    r[1] = D.TIMEOUT
+    return runs[0][1], runs[1][1]
 
+
+def test_vm_runs_of_the_same_code_share_no_stack(rng):
     terms = [parse(r"(\f. f (f 1)) (\x. suc x)"), OMEGA]
     terms += [gen_term(rng, size=10) for _ in range(200)]
     for t in terms:
@@ -362,8 +378,75 @@ def test_non_terms_and_non_instructions_are_type_errors():
             compile_term(t)
     with pytest.raises(TypeError, match="not an instruction"):
         D.run_fuel(execute((lang.PushLit(1), "x")), 1)
+    with pytest.raises(TypeError, match="not a term"):
+        D.run_fuel(evaluate(App(Lit(0), "x")), 1)
 
 
 def test_compile_term_is_stack_safe():
     t = parse("suc (" * 100_000 + "0" + ")" * 100_000)
     assert len(compile_term(t)) == 100_001
+
+
+# --- the interpreter's step node -------------------------------------------
+
+
+def test_interpreter_step_observed_twice_is_the_same_layer():
+    d = evaluate(parse(r"(\f. f (f 1)) (\x. suc x)"))
+    first = d.observe()
+    assert d.observe() is first
+    assert first.rest.observe() is first.rest.observe()
+
+
+def test_interpreter_step_observed_again_later_returns_its_memo(monkeypatch):
+    d = evaluate(parse(r"(\f. f (f 1)) (\x. suc x)"))
+    first = d.observe()
+    assert D.run_fuel(first.rest, 10) == D.Converged(Nat(3), 2)
+    calls = [0]
+    inner = lang._eval
+
+    def counting_eval(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(lang, "_eval", counting_eval)
+    assert d.observe() is first
+    assert D.run_fuel(d, 10) == D.Converged(Nat(3), 3)
+    assert calls[0] == 0
+
+
+def test_interpreter_runs_of_the_same_term_share_no_stack(rng):
+    terms = [parse(r"(\f. f (f 1)) (\x. suc x)"), OMEGA]
+    terms += [gen_term(rng, size=10) for _ in range(200)]
+    for t in terms:
+        alone = run(t, 64)
+        assert alternately(evaluate(t), evaluate(t), 64) == (alone, alone)
+
+
+def test_interpreter_runs_leave_no_reference_cycles():
+    t = parse(r"(\f. f (f 1)) (\x. suc x)")
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(100):
+            run(t, 10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_interpreter_builds_one_step_node_per_step(monkeypatch):
+    # the growing term's context deepens by one `suc` a step
+    built = [0]
+    init = lang._Eval.__init__
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(lang._Eval, "__init__", counting_init)
+    t = parse(r"(\f. f f) (\f. suc (f f))")
+    for fuel in (10**3, 10**4):
+        d = evaluate(t)
+        built[0] = 0
+        assert D.run_fuel(d, fuel) is D.TIMEOUT
+        assert built[0] == fuel + 1  # fuel steps, and the one that ran out
