@@ -224,9 +224,60 @@ def test_agreement_needs_fuel_to_confirm():
     assert agree_within(slow, 8) is Verdict.TRUE
 
 
+def test_agreement_is_false_when_the_values_differ(monkeypatch):
+    monkeypatch.setattr(lang, "execute", lambda code: D.now(Nat(99)))
+    assert agree_within(parse("1"), 4) is Verdict.FALSE
+    # a timeout on either side is UNKNOWN, even against a wrong value
+    assert agree_within(OMEGA, 4) is Verdict.UNKNOWN
+    monkeypatch.setattr(lang, "execute", lambda code: D.never())
+    assert agree_within(parse("1"), 4) is Verdict.UNKNOWN
+
+
+def bisim_of_behaviours(t, fuel):
+    # the reference: the two runs mapped to observable values, viewed as
+    # sequences, and compared with seq.bisim_within
+    def behaviour(d):
+        return seq.of_delay(D.map(d, lang.observe_value))
+
+    return seq.bisim_within(behaviour(evaluate(t)), behaviour(execute(compile_term(t))), fuel)
+
+
+def test_agreement_is_the_bisimilarity_of_the_two_behaviours(rng):
+    seen = set()
+    for i in range(2000):
+        t = gen_term(rng, size=rng.randrange(2, 13))
+        if i % 2:
+            t = App(t, Var(rng.randrange(3)))  # open, so it may get stuck on the free variable
+        for fuel in (0, 1, 7, 64, 256):
+            verdict = agree_within(t, fuel)
+            assert verdict is bisim_of_behaviours(t, fuel), (show(t), fuel)
+            seen.add(verdict)
+    assert seen == {Verdict.TRUE, Verdict.UNKNOWN}
+
+
 def test_generated_terms_are_closed(rng):
     for _ in range(300):
         assert lang.is_closed(gen_term(rng, size=12))
+
+
+@pytest.mark.parametrize(
+    "leaf, wrap",
+    [
+        (Lit(0), Suc),
+        (Var(0), Lam),
+        (Lit(0), lambda t: App(t, Lit(0))),
+        (Lit(0), lambda t: App(Lit(0), t)),
+    ],
+    ids=["suc", "lambdas", "left-nested", "right-nested"],
+)
+def test_is_closed_at_any_depth(leaf, wrap):
+    depth = 10**5
+    binders = depth if wrap is Lam else 0
+    closed, open_ = leaf, Var(binders)  # the deepest leaf, or a variable past every binder
+    for _ in range(depth):
+        closed, open_ = wrap(closed), wrap(open_)
+    assert lang.is_closed(closed)
+    assert not lang.is_closed(open_)
 
 
 def test_interpreter_vocabulary_aliases():
@@ -380,6 +431,11 @@ def test_non_terms_and_non_instructions_are_type_errors():
         D.run_fuel(execute((lang.PushLit(1), "x")), 1)
     with pytest.raises(TypeError, match="not a term"):
         D.run_fuel(evaluate(App(Lit(0), "x")), 1)
+    # a non-term is reported before negative fuel
+    with pytest.raises(TypeError, match="not a term"):
+        agree_within("x", -1)
+    with pytest.raises(ValueError, match="negative fuel: -1"):
+        agree_within(OMEGA, -1)
 
 
 def test_compile_term_is_stack_safe():
