@@ -81,10 +81,10 @@ Term = "Var | Lam | App | Lit | Suc"
 OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
 
 
-def is_closed(t, depth: int = 0) -> bool:
-    """Is every variable of ``t`` bound, inside ``depth`` enclosing binders?
-    One loop with its own stack of ``(term, depth)`` pairs."""
-    todo = [(t, depth)]
+def is_closed(t) -> bool:
+    """Is every variable of ``t`` bound?  One loop with its own stack of
+    ``(term, depth)`` pairs, ``depth`` counting the binders around each."""
+    todo = [(t, 0)]
     while todo:
         t, depth = todo.pop()
         if isinstance(t, Var):
@@ -306,9 +306,9 @@ def execute(code: tuple) -> Delay:
 # the definitional interpreter
 
 
-def evaluate(t, env: tuple = ()) -> Delay:
-    """Call-by-value evaluation; one observable step per beta reduction."""
-    return _Eval(t, env, [])
+def evaluate(t) -> Delay:
+    """Call-by-value evaluation (a free variable is stuck); one step per beta reduction."""
+    return _Eval(t, (), [])
 
 
 class _Eval(_Call):
@@ -498,30 +498,43 @@ def parse(src: str):
 
 
 def show(t) -> str:
-    """Print a term back in the concrete syntax, inventing variable names."""
+    """Print a term back in the concrete syntax, inventing variable names.
+    One loop with its own stack, so a term may nest to any depth."""
 
     def fresh(depth: int) -> str:
         base = "xyzuvw"[depth % 6]
         k = depth // 6
         return base + ("" if k == 0 else str(k))
 
-    def go(t, depth: int, prec: int) -> str:
-        if isinstance(t, Var):
-            if t.index < depth:
-                return fresh(depth - 1 - t.index)
-            return f"#{t.index}"
-        if isinstance(t, Lit):
-            return str(t.n)
-        if isinstance(t, Lam):
-            s = f"\\{fresh(depth)}. {go(t.body, depth + 1, 0)}"
-            return f"({s})" if prec > 0 else s
-        if isinstance(t, Suc):
-            s = f"suc {go(t.arg, depth, 2)}"
-            return f"({s})" if prec > 1 else s
-        s = f"{go(t.fn, depth, 1)} {go(t.arg, depth, 2)}"
-        return f"({s})" if prec > 1 else s
-
-    return go(t, 0, 0)
+    out = []
+    todo = [(t, 0, 0)]  # (term, binder depth, precedence) items, and literal text
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, depth, prec = item
+        while True:  # print down the leftmost path, stacking what follows it
+            ty = type(t)
+            if ty is Var:
+                out.append(fresh(depth - 1 - t.index) if t.index < depth else f"#{t.index}")
+                break
+            if ty is Lit:
+                out.append(str(t.n))
+                break
+            if prec > (0 if ty is Lam else 1):
+                out.append("(")
+                todo.append(")")
+            if ty is Lam:
+                out.append(f"\\{fresh(depth)}. ")
+                t, depth, prec = t.body, depth + 1, 0
+            elif ty is Suc:
+                out.append("suc ")
+                t, prec = t.arg, 2
+            else:
+                todo += ((t.arg, depth, 2), " ")
+                t, prec = t.fn, 1
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

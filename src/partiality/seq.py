@@ -365,18 +365,16 @@ def cantor_unpair(k: int) -> tuple[int, int]:
     return w - j, j
 
 
-def lub(
-    family: Callable[[int], Seq],
-    pairing: Callable[[int], tuple[int, int]] = cantor_unpair,
-) -> Seq:
+def lub(family: Callable[[int], Seq]) -> Seq:
     """Merge a countable chain of sequences into one.
 
     Cell ``n`` of the result looks at the first ``n + 1`` entries of the
-    family's cell table, flattened through ``pairing`` (Cantor by default,
-    which keeps witness indices quadratically bounded), and reports the
-    first done value seen so far.  First-wins keeps witness indices minimal;
-    under the chain precondition (at most one done value in the whole table)
-    the choice of representative cannot matter.
+    family's cell table, taken along Cantor's diagonals (``(0, 0), (1, 0),
+    (0, 1), (2, 0), …``, which keeps witness indices quadratically bounded;
+    member ``i`` is built at ``(i, 0)``), and reports the first done value
+    seen so far.  First-wins keeps witness indices minimal; under the chain
+    precondition (at most one done value in the whole table) the choice of
+    representative cannot matter.
 
     The precondition is not checked up front: if the scan ever meets a
     second, different done value, ``ChainViolationError`` is raised from the
@@ -385,24 +383,22 @@ def lub(
     """
 
     def produce():
-        members: dict[int, Seq] = {}
+        members: list[Seq] = []
         first: Optional[tuple[int, int, Any]] = None
-        cell = None
-        n = 0
+        cell = PENDING
+        i = j = 0
         while True:
-            i, j = pairing(n)
-            member = members.get(i)
-            if member is None:
-                member = members[i] = family(i)
-            p = member.at(j)
+            if i == len(members):
+                members.append(family(i))
+            p = members[i].at(j)
             if p is not PENDING:
                 if first is None:
                     first = (i, j, p.value)
                     cell = Done(p.value)
                 elif p.value != first[2]:
                     raise ChainViolationError(first, (i, j, p.value))
-            yield cell if cell is not None else PENDING
-            n += 1
+            yield cell
+            i, j = (j + 1, 0) if i == 0 else (i - 1, j + 1)
 
     return Seq(produce)
 

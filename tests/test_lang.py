@@ -120,6 +120,56 @@ def test_show_prints_a_free_index():
     assert show(Var(3)) == "#3"
 
 
+def recursive_show(t):
+    # the reference: one Python call per nesting level
+    def fresh(depth):
+        k = depth // 6
+        return "xyzuvw"[depth % 6] + ("" if k == 0 else str(k))
+
+    def go(t, depth, prec):
+        if isinstance(t, Var):
+            return fresh(depth - 1 - t.index) if t.index < depth else f"#{t.index}"
+        if isinstance(t, Lit):
+            return str(t.n)
+        if isinstance(t, Lam):
+            s = f"\\{fresh(depth)}. {go(t.body, depth + 1, 0)}"
+            return f"({s})" if prec > 0 else s
+        if isinstance(t, Suc):
+            s = f"suc {go(t.arg, depth, 2)}"
+            return f"({s})" if prec > 1 else s
+        s = f"{go(t.fn, depth, 1)} {go(t.arg, depth, 2)}"
+        return f"({s})" if prec > 1 else s
+
+    return go(t, 0, 0)
+
+
+def test_show_matches_the_recursive_printer(rng):
+    for i in range(2000):
+        t = gen_term(rng, size=rng.randrange(2, 13))
+        if i % 2:
+            t = App(t, Var(rng.randrange(3)))  # open, so a free index is printed too
+        assert show(t) == recursive_show(t)
+
+
+@pytest.mark.parametrize(
+    "leaf, wrap",
+    [
+        (Lit(0), Suc),
+        (Var(0), Lam),
+        (Lit(0), lambda t: App(t, Lit(0))),
+        (Lit(0), lambda t: App(Lit(0), t)),
+    ],
+    ids=["suc", "lambdas", "left-nested", "right-nested"],
+)
+def test_show_round_trips_at_any_depth(leaf, wrap):
+    t = leaf
+    for _ in range(10**5):
+        t = wrap(t)
+    text = show(t)
+    # strings are compared: == on a deep frozen dataclass recurses
+    assert show(parse(text)) == text
+
+
 # --- the interpreter -------------------------------------------------------
 
 

@@ -355,15 +355,26 @@ def test_lub_memoizes_family_members():
         built.append(i)
         return seq.bottom() if i else shift_n(seq.unit(1), 3)
 
-    prefix(seq.lub(fam), 20)
+    s = seq.lub(fam)
+    built_by_cell = []
+    for n in range(20):
+        s.at(n)
+        built_by_cell.append(list(built))
     assert sorted(built) == sorted(set(built))
+    # members are built in order 0, 1, 2, ..., member i when cell cantor_pair(i, 0) is pulled
+    want = [[i for i in range(n + 1) if seq.cantor_pair(i, 0) <= n] for n in range(20)]
+    assert built_by_cell == want
 
 
-def test_lub_custom_pairing():
-    # column-major on a 2-wide family: n -> (n % 2, n // 2)
-    fam = lambda i: seq.unit(9) if i == 1 else seq.bottom()
-    s = seq.lub(fam, pairing=lambda n: (n % 2, n // 2))
-    assert seq.converges_within(s, 10) == Witness(9, 1)
+def test_lub_walks_the_cantor_diagonals():
+    touched = []
+
+    def fam(i):
+        return seq.from_fn(lambda j: touched.append((i, j)) or PENDING)
+
+    n = 528  # the first 32 diagonals
+    prefix(seq.lub(fam), n)
+    assert touched == [seq.cantor_unpair(k) for k in range(n)]
 
 
 def test_lub_of_constant_family_is_equivalent_to_it():
