@@ -41,8 +41,6 @@ def _parse_term(arg: str):
 
 
 def _report_run(r, fuel: int) -> int:
-    # takes the answer, not the run: a caller holding the head of a run keeps
-    # every step it has observed alive, so memory would grow with the fuel
     if r is TIMEOUT:
         print(f"timeout fuel={fuel}")
         return 2
@@ -55,12 +53,12 @@ def _report_run(r, fuel: int) -> int:
 
 def cmd_run(args) -> int:
     t = _parse_term(args.program)
-    return _report_run(delay.run_fuel(lang.evaluate(t), args.fuel), args.fuel)
+    return _report_run(lang.run(t, args.fuel), args.fuel)
 
 
 def cmd_vm(args) -> int:
     code = lang.compile_term(_parse_term(args.program))
-    return _report_run(delay.run_fuel(lang.execute(code), args.fuel), args.fuel)
+    return _report_run(lang.run_code(code, args.fuel), args.fuel)
 
 
 def cmd_compile(args) -> int:

@@ -25,6 +25,13 @@ terms use de Bruijn indices.  There are two executable accounts:
   call, so a run builds no closure and no reference cycle.  ``compile_term``
   and ``disassemble`` keep their own stacks, so code may nest to any depth.
 
+Each back end has one loop, and it takes a budget: it runs through calls or
+beta reductions in place while the budget lasts, and returns the step it
+stops at as a node.  A node's ``observe`` is that loop with budget 0.  A run
+that only wants the answer goes through ``run`` or ``run_code``, the loop
+with the whole fuel as its budget, which builds no node per step and answers
+exactly as ``run_fuel`` over ``evaluate`` or ``execute`` would.
+
 Both get stuck on the same ill-typed operations (calling a number, taking
 the successor of a function), and stuckness is abortive: the first stuck
 operation ends the run with the ``STUCK`` value on both sides, in the same
@@ -40,8 +47,7 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
-from . import delay as D
-from .delay import Delay, Later, Now
+from .delay import TIMEOUT, Converged, Delay, Later, Now, _Timeout
 from .seq import Verdict
 
 
@@ -250,13 +256,20 @@ class _Call(Delay):
 
     def observe(self) -> "Now | Later":
         if self._observed is None:
-            self._observed = _run(self._code, self._env, self._machine)
+            self._observed = _run(self._code, self._env, self._machine, 0)
             self._code = self._env = self._machine = None
         return self._observed
 
 
-def _run(code: tuple, env: tuple, machine: tuple) -> "Now | Later":
-    # run until the next closure call, or the end of the outermost code
+def _end(v, budget: int) -> "Now | Converged":
+    # the value of a run: ``Now(v)`` once the budget is spent, so a step node,
+    # whose budget is 0, keeps it as its layer; else ``Converged(v, budget left)``
+    return Converged(v, budget) if budget else Now(v)
+
+
+def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converged | Later":
+    # run through up to ``budget`` closure calls and stop at the next one as
+    # ``Later``, or end at the value of the outermost code (``_end``)
     stack, frames = machine
     pc, end = 0, len(code)
     while pc < end:
@@ -266,16 +279,20 @@ def _run(code: tuple, env: tuple, machine: tuple) -> "Now | Later":
         if ty is PushVar:
             i = len(env) - 1 - ins.index
             if i < 0:
-                return Now(STUCK)
+                return _end(STUCK, budget)
             stack.append(env[i])
         elif ty is Apply:
             av = stack.pop()
             fv = stack.pop()
             if type(fv) is not VmClosure:
-                return Now(STUCK)
+                return _end(STUCK, budget)
             if pc == end or type(code[pc]) is not Ret:
                 frames.append((code, pc, env))  # a tail call, just before Ret, needs none
-            return Later(_Call(fv.code, fv.env + (av,), machine))
+            if not budget:
+                return Later(_Call(fv.code, fv.env + (av,), machine))
+            budget -= 1
+            code, pc, env = fv.code, 0, fv.env + (av,)
+            end = len(code)
         elif ty is Ret:
             code, pc, env = frames.pop()
             end = len(code)
@@ -286,11 +303,11 @@ def _run(code: tuple, env: tuple, machine: tuple) -> "Now | Later":
         elif ty is Add1:
             v = stack.pop()
             if type(v) is not Nat:
-                return Now(STUCK)
+                return _end(STUCK, budget)
             stack.append(Nat(v.n + 1))
         else:
             raise TypeError(f"not an instruction: {ins!r}")
-    return Now(stack[-1])
+    return _end(stack[-1], budget)
 
 
 def execute(code: tuple) -> Delay:
@@ -302,6 +319,23 @@ def execute(code: tuple) -> Delay:
     return _Call(code, (), ([], []))
 
 
+def run_code(code: tuple, fuel: int) -> "Converged | _Timeout":
+    """``run_fuel(execute(code), fuel)``, computed in one loop that builds
+    no step node on the way."""
+    return _spend(_run, code, ([], []), fuel)
+
+
+def _spend(loop, start, machine, fuel: int) -> "Converged | _Timeout":
+    # a back end's loop with the whole fuel as its budget; a loop that stops
+    # at a step, or ends with ``Now``, has spent all of it
+    if fuel < 0:
+        raise ValueError(f"negative fuel: {fuel}")
+    ob = loop(start, (), machine, fuel)
+    if type(ob) is Later:
+        return TIMEOUT
+    return Converged(ob.value, fuel - ob.steps if type(ob) is Converged else fuel)
+
+
 # ---------------------------------------------------------------------------
 # the definitional interpreter
 
@@ -309,6 +343,12 @@ def execute(code: tuple) -> Delay:
 def evaluate(t) -> Delay:
     """Call-by-value evaluation (a free variable is stuck); one step per beta reduction."""
     return _Eval(t, (), [])
+
+
+def run(t, fuel: int) -> "Converged | _Timeout":
+    """``run_fuel(evaluate(t), fuel)``, computed in one loop that builds
+    no step node on the way."""
+    return _spend(_eval, t, [], fuel)
 
 
 class _Eval(_Call):
@@ -319,7 +359,7 @@ class _Eval(_Call):
 
     def observe(self) -> "Now | Later":
         if self._observed is None:
-            self._observed = _eval(self._code, self._env, self._machine)
+            self._observed = _eval(self._code, self._env, self._machine, 0)
             self._code = self._env = self._machine = None
         return self._observed
 
@@ -327,10 +367,11 @@ class _Eval(_Call):
 _SUC = object()  # the continuation that takes the successor of a value
 
 
-def _eval(t, env: tuple, konts: list) -> "Now | Later":
-    # evaluate until the next beta reduction, or the value of the whole run;
-    # ``konts`` holds ``_SUC``, an argument ``(term, env)`` still to evaluate,
-    # or a function value waiting for its argument's value
+def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | Later":
+    # evaluate through up to ``budget`` beta reductions and stop at the next
+    # one as ``Later``, or end at the value of the whole run (``_end``); ``konts``
+    # holds ``_SUC``, an argument ``(term, env)`` still to evaluate, or a
+    # function value waiting for its argument's value
     while True:
         ty = type(t)
         if ty is App:
@@ -359,11 +400,15 @@ def _eval(t, env: tuple, konts: list) -> "Now | Later":
                     t, env = k
                     break
                 elif type(k) is Closure:
-                    return Later(_Eval(k.body, k.env + (v,), konts))
+                    if not budget:
+                        return Later(_Eval(k.body, k.env + (v,), konts))
+                    budget -= 1
+                    t, env = k.body, k.env + (v,)
+                    break
                 else:
-                    return Now(STUCK)
+                    return _end(STUCK, budget)
             else:
-                return Now(v)
+                return _end(v, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +433,9 @@ def agree_within(t, fuel: int) -> Verdict:
     ``UNKNOWN`` at any fuel.
     """
     code = compile_term(t)
-    a = D.run_fuel(evaluate(t), fuel)
-    b = D.run_fuel(execute(code), fuel)
-    if a is D.TIMEOUT or b is D.TIMEOUT:
+    a = run(t, fuel)
+    b = run_code(code, fuel)
+    if a is TIMEOUT or b is TIMEOUT:
         return Verdict.UNKNOWN
     return Verdict.TRUE if observe_value(a.value) == observe_value(b.value) else Verdict.FALSE
 

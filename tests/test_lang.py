@@ -275,11 +275,11 @@ def test_agreement_needs_fuel_to_confirm():
 
 
 def test_agreement_is_false_when_the_values_differ(monkeypatch):
-    monkeypatch.setattr(lang, "execute", lambda code: D.now(Nat(99)))
+    monkeypatch.setattr(lang, "run_code", lambda code, fuel: D.Converged(Nat(99), 0))
     assert agree_within(parse("1"), 4) is Verdict.FALSE
     # a timeout on either side is UNKNOWN, even against a wrong value
     assert agree_within(OMEGA, 4) is Verdict.UNKNOWN
-    monkeypatch.setattr(lang, "execute", lambda code: D.never())
+    monkeypatch.setattr(lang, "run_code", lambda code, fuel: D.TIMEOUT)
     assert agree_within(parse("1"), 4) is Verdict.UNKNOWN
 
 
@@ -346,12 +346,13 @@ def test_growing_context_times_out_on_both_back_ends():
     assert agree_within(t, 256) is Verdict.UNKNOWN
 
 
-def test_vm_tail_calls_keep_memory_flat():
+def assert_omega_memory_is_flat(go):
+    # the peak of a timed-out Omega run must not grow with its fuel
     def peak(fuel):
         gc.collect()
         tracemalloc.start()
         try:
-            assert vm(OMEGA, fuel) is D.TIMEOUT
+            assert go(OMEGA, fuel) is D.TIMEOUT
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,26 +362,53 @@ def test_vm_tail_calls_keep_memory_flat():
     assert large < 16_384 and large < 2 * small
 
 
+def test_vm_tail_calls_keep_memory_flat():
+    assert_omega_memory_is_flat(vm)
+
+
+class CountingStack(list):
+    """A continuation stack that counts its pushes and pops, and fails a run
+    that makes more than ``cap`` of them."""
+
+    def __init__(self, cap):
+        super().__init__()
+        self.moves, self.cap = 0, cap
+
+    def _move(self):
+        self.moves += 1
+        if self.moves > self.cap:
+            raise AssertionError(f"more than {self.cap} pushes and pops")
+
+    def append(self, item):
+        self._move()
+        super().append(item)
+
+    def pop(self):
+        self._move()
+        return super().pop()
+
+
 def test_interpreter_work_per_step_is_flat(monkeypatch):
-    # the growing term's context deepens by one `suc` a step; the binds built
-    # per step must not grow with it (a cap stops a run that builds too many)
-    built, cap = [0], [0]
-    init = D._Bind.__init__
-
-    def counting_init(self, src, f):
-        built[0] += 1
-        if built[0] > cap[0]:
-            raise AssertionError(f"more than {cap[0]} binds built")
-        init(self, src, f)
-
-    monkeypatch.setattr(D._Bind, "__init__", counting_init)
+    # the growing term's context deepens by one `suc` a step; the pushes and
+    # pops per step must not grow with it, on the node path or through run
     t = parse(r"(\f. f f) (\f. suc (f f))")
-    per_step = []
-    for fuel in (10**3, 10**4):
-        built[0], cap[0] = 0, 4 * fuel
-        assert run(t, fuel) is D.TIMEOUT
-        per_step.append(built[0] / fuel)
-    assert per_step[1] <= per_step[0] + 0.01
+    inner = lang._eval
+
+    def node_path(konts, fuel):
+        return D.run_fuel(lang._Eval(t, (), konts), fuel)
+
+    def run_path(konts, fuel):
+        with monkeypatch.context() as m:
+            m.setattr(lang, "_eval", lambda term, env, _, budget: inner(term, env, konts, budget))
+            return lang.run(t, fuel)
+
+    for path in (node_path, run_path):
+        per_step = []
+        for fuel in (10**3, 10**4):
+            konts = CountingStack(cap=16 * fuel)
+            assert path(konts, fuel) is D.TIMEOUT
+            per_step.append(konts.moves / fuel)
+        assert 0 < per_step[1] <= per_step[0] + 0.01, path.__name__
 
 
 def test_stuck_aborts_before_the_argument_on_open_terms():
@@ -556,3 +584,68 @@ def test_interpreter_builds_one_step_node_per_step(monkeypatch):
         built[0] = 0
         assert D.run_fuel(d, fuel) is D.TIMEOUT
         assert built[0] == fuel + 1  # fuel steps, and the one that ran out
+
+
+# --- runs that only want the answer ----------------------------------------
+
+
+def test_run_and_run_code_agree_with_the_node_path(rng):
+    # the budgeted loops against run_fuel over step nodes, on a pinned pool
+    # that includes open terms, which may get stuck on their free variable
+    seen = set()
+    for i in range(1500):
+        t = gen_term(rng, size=rng.randrange(2, 13))
+        if i % 2:
+            t = App(t, Var(rng.randrange(3)))
+        code = compile_term(t)
+        for fuel in (0, 1, 2, 7, 64, 256):
+            want = D.run_fuel(evaluate(t), fuel)
+            assert lang.run(t, fuel) == want, (show(t), fuel)
+            assert lang.run_code(code, fuel) == D.run_fuel(execute(code), fuel), (show(t), fuel)
+            seen.add(want if want is D.TIMEOUT else type(want.value))
+    assert seen == {D.TIMEOUT, Nat, type(STUCK), lang.Closure}
+
+
+def test_run_and_run_code_keep_the_run_fuel_contract():
+    three = parse(r"(\f. f (f 1)) (\x. suc x)")
+    for fuel, want in ((2, D.TIMEOUT), (3, D.Converged(Nat(3), 3)), (10**30, D.Converged(Nat(3), 3))):
+        assert lang.run(three, fuel) == lang.run_code(compile_term(three), fuel) == want
+    for t in (App(App(Lit(1), Lit(2)), OMEGA), App(Var(5), OMEGA), App(Lit(1), App(Var(9), OMEGA))):
+        # stuck before the diverging argument runs
+        assert lang.run(t, 50) == lang.run_code(compile_term(t), 50) == D.Converged(STUCK, 0)
+    for fuel in (-1, -10**30):
+        with pytest.raises(ValueError, match=f"negative fuel: {fuel}"):
+            lang.run(OMEGA, fuel)
+        with pytest.raises(ValueError, match=f"negative fuel: {fuel}"):
+            lang.run_code(compile_term(OMEGA), fuel)
+    # negative fuel is reported before a non-term, as run_fuel reports it
+    with pytest.raises(ValueError, match="negative fuel: -1"):
+        lang.run("x", -1)
+    for t in ("x", App(Lit(0), "x")):
+        with pytest.raises(TypeError, match="not a term"):
+            lang.run(t, 1)
+    with pytest.raises(TypeError, match="not an instruction"):
+        lang.run_code((lang.PushLit(1), "x"), 1)
+
+
+def test_runs_build_no_step_node_on_the_way(monkeypatch):
+    built = [0]
+    init = lang._Call.__init__
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(lang._Call, "__init__", counting_init)
+    three = parse(r"(\f. f (f 1)) (\x. suc x)")
+    for t, fuel, nodes in ((three, 3, 0), (three, 2, 1), (OMEGA, 10**4, 1)):
+        for go in (lang.run, lambda t, fuel: lang.run_code(compile_term(t), fuel)):
+            built[0] = 0
+            go(t, fuel)
+            assert built[0] == nodes  # only the step a timed-out run stops at
+
+
+def test_runs_that_only_want_the_answer_keep_memory_flat():
+    assert_omega_memory_is_flat(lang.run)
+    code = compile_term(OMEGA)
+    assert_omega_memory_is_flat(lambda t, fuel: lang.run_code(code, fuel))
