@@ -15,6 +15,7 @@ node memoizes its own layer, so a node shared by several binds runs once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -94,9 +95,10 @@ def run_fuel(d: Delay, fuel: int) -> Converged | _Timeout:
     Returns ``Converged(value, steps)`` with the exact number of steps peeled,
     or ``TIMEOUT`` if the value has not appeared yet.  ``TIMEOUT`` is an
     answer, not an error: it says nothing beyond "not within this budget".
-    Negative fuel is a ``ValueError``.
+    Negative fuel is a ``ValueError``, and fuel that is not an integer a
+    ``TypeError``.
     """
-    if fuel < 0:
+    if operator.index(fuel) < 0:
         raise ValueError(f"negative fuel: {fuel}")
     steps = 0
     while True:

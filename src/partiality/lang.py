@@ -13,13 +13,14 @@ Concrete syntax::
 parentheses on its own stack, so nesting has no depth limit.  Internally
 terms use de Bruijn indices.  There are two executable accounts:
 
-* ``eval`` — the obvious environment interpreter, made total by returning a
-  delayed value that takes one observable step per beta reduction.  It keeps
-  its continuations on its own stack, the defunctionalized monadic
-  interpreter, with the same values, steps and evaluation order; a step is
-  one node, as in the machine below, so a term may nest to any depth;
-* ``compile``/``execute`` — a small stack machine, one observable step per
-  closure call, whose code ``disassemble`` lists one instruction a line.
+* ``evaluate`` — the obvious environment interpreter, made total by
+  returning a delayed value that takes one observable step per beta
+  reduction.  It keeps its continuations on its own stack, the
+  defunctionalized monadic interpreter, with the same values, steps and
+  evaluation order; a step is one node, as in the machine below, so a term
+  may nest to any depth;
+* ``compile_term``/``execute`` — a small stack machine, one observable step
+  per closure call, whose code ``disassemble`` lists one instruction a line.
   A step is one node that holds the code and environment the call enters
   and the run's stack and frames; a module-level loop runs it to the next
   call, so a run builds no closure and no reference cycle.  ``compile_term``
@@ -43,6 +44,7 @@ accounts converge to the same observable value, whatever their step counts.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any
@@ -328,7 +330,7 @@ def run_code(code: tuple, fuel: int) -> "Converged | _Timeout":
 def _spend(loop, start, machine, fuel: int) -> "Converged | _Timeout":
     # a back end's loop with the whole fuel as its budget; a loop that stops
     # at a step, or ends with ``Now``, has spent all of it
-    if fuel < 0:
+    if operator.index(fuel) < 0:
         raise ValueError(f"negative fuel: {fuel}")
     ob = loop(start, (), machine, fuel)
     if type(ob) is Later:
@@ -584,13 +586,6 @@ def show(t) -> str:
 
 # ---------------------------------------------------------------------------
 # closed-term generation, for bulk testing
-
-
-# Short aliases in the traditional interpreter vocabulary.  The shadowed
-# builtins are unused in this module; importing * from here is on you.
-eval = evaluate
-compile = compile_term
-exec = execute
 
 
 def gen_term(rng: "random.Random | int", size: int = 8):

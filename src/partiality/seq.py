@@ -13,23 +13,26 @@ return three-valued ``Verdict``s relative to a fuel bound.  ``TRUE`` and
 * refutation always needs two convergence witnesses with distinct values;
 * confirmation needs matching witnesses, or a structural reason that a
   refutation can never appear (the two sides are the same object, or the
-  left side was built so that it never converges, as ``bottom()`` is).
+  left side is ``bottom()``).
 
 Everything in between is ``UNKNOWN``, which more fuel may still resolve.
 
 Evaluation is lazy.  By monotonicity a scanned prefix is described by the
 number of cells pulled and the first done cell, all a ``Seq`` keeps, so its
 memory is O(1).  ``unit``, ``bottom``, ``shift`` and ``bind`` build ``Delay``
-graphs, whose nesting costs no Python frames, and bottom absorbs
-(``⊥ >>= f = ⊥``): ``shift``, ``unshift`` and ``bind`` return a sequence
-built never to converge as it is.  A producer yields cells in index order
-and may stop right after its first done cell, since every later cell is
-that one; it may not stop before one.  A non-monotone producer raises
-``MonotonicityError`` at the offending index.  Use from a single thread.
+graphs, whose nesting costs no Python frames.  ``bottom()`` is one sequence,
+a finished scan with no done cell, so no index makes it pull; it absorbs
+(``⊥ >>= f = ⊥``): ``shift``, ``unshift`` and ``bind`` return it as it is.
+A producer yields cells in index order and may stop right after its first
+done cell, since every later cell is that one; it may not stop before one.
+A non-monotone producer raises ``MonotonicityError`` at the offending index.
+Fuel, and an index that makes a sequence pull, must be integers, or it is a
+``TypeError``.  Use from a single thread.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import inf, isqrt
@@ -114,51 +117,41 @@ class Seq:
     after its first done cell, which completes the sequence and drops the
     producer; stopping before one is an error.  Only the count of cells
     pulled and the first done cell with its index are kept; failures,
-    ``MonotonicityError`` included, are cached and re-raised.
-
-    ``never_converges`` is construction-time knowledge: it is set only when
-    the way the sequence was built guarantees every cell is pending (e.g.
-    ``bottom()``), and it is what lets the order checker certify vacuous
-    truths like "bottom is below everything"; a scan of it pulls nothing.
+    ``MonotonicityError`` and a failing factory included, are cached and
+    re-raised.  ``_src`` is the source until the first pull, then the
+    producer, then ``None`` once the sequence is complete.
     """
 
-    __slots__ = ("_produce", "_iter", "_scanned", "_done", "_done_at", "_error", "never_converges")
+    __slots__ = ("_src", "_scanned", "_done", "_done_at", "_error")
 
-    def __init__(self, produce: "Delay | Callable[[], Iterator]", never_converges: bool = False):
-        self._produce = produce
-        self._iter = None
+    def __init__(self, src: "Delay | Callable[[], Iterator]"):
+        self._src = src
         self._scanned = 0
         self._done = None
         self._done_at = inf
         self._error: Optional[Exception] = None
-        self.never_converges = never_converges
 
     def at(self, n: int):
         """The cell at index ``n`` (``Done(value)`` or ``PENDING``)."""
         if not 0 <= n < self._scanned:
-            if n < 0:
+            if operator.index(n) < 0:
                 raise IndexError("negative index")
             self._pull(n, False)
         return self._done if n >= self._done_at else PENDING
 
     def _pull(self, n: int, stop_at_done: bool) -> None:
         # Pulls cells through index `n`, or only up to the first done cell
-        # when `stop_at_done` holds.  A failure in the producer is cached and
-        # re-raised on any further pull.
+        # when `stop_at_done` holds.  A failure in the producer or in the
+        # factory that makes it is cached and re-raised on any further pull.
         if self._error is not None:
             raise self._error
-        if self.never_converges:
-            self._scanned = n + 1  # every cell is pending; there is nothing to pull
-            return
-        if self._iter is None:
-            # the source may hold what the iterator has already moved past
-            src = self._produce
-            self._iter = _steps(src) if isinstance(src, Delay) else src()
-            self._produce = src = None
-        it = self._iter
         k = self._scanned
         done = self._done
         try:
+            if k == 0:
+                # no local keeps the source: it may hold what the producer moves past
+                self._src = _steps(self._src) if isinstance(self._src, Delay) else self._src()
+            it = self._src
             while k <= n:
                 p = next(it)
                 if done is None:
@@ -175,7 +168,7 @@ class Seq:
                 self._error = RuntimeError("sequence producer is not total")
                 raise self._error from None
             k = inf  # done is final: every later cell is the done one
-            self._iter = None
+            self._src = None
         except Exception as err:
             self._error = err
             raise
@@ -191,8 +184,14 @@ def unit(a: Any) -> Seq:
     return Seq(D.now(a))
 
 
+# A finished scan with no done cell: no index can make it pull from its source.
+_BOTTOM = Seq(D.never())
+_BOTTOM._scanned = inf
+
+
 def bottom() -> Seq:
-    return Seq(D.never(), never_converges=True)
+    """The sequence that never converges; there is one, as ``D.never()`` is one."""
+    return _BOTTOM
 
 
 def from_fn(fn: Callable[[int], Any]) -> Seq:
@@ -214,11 +213,11 @@ def from_fn(fn: Callable[[int], Any]) -> Seq:
 
 
 def shift(s: Seq) -> Seq:
-    return s if s.never_converges else Seq(D.later(to_delay(s)))
+    return s if s is _BOTTOM else Seq(D.later(to_delay(s)))
 
 
 def unshift(s: Seq) -> Seq:
-    return s if s.never_converges else from_fn(lambda n: s.at(n + 1))
+    return s if s is _BOTTOM else from_fn(lambda n: s.at(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +247,8 @@ def to_delay(s: Seq) -> Delay:
     """The delayed view of a sequence: one step per pending cell.
 
     While ``s`` is unscanned, that is the ``Delay`` behind it."""
-    if isinstance(s._produce, Delay):
-        return s._produce
+    if isinstance(s._src, Delay):
+        return s._src
 
     def step(i: int) -> "Now | Later":
         p = s.at(i)
@@ -270,9 +269,10 @@ def converges_within(s: Seq, fuel: int) -> Optional[Witness]:
     Monotonicity makes the witness value unique, and producing cells in
     order makes the returned index minimal.  Cells are pulled only up to the
     first done one, so a convergent sequence is never forced past its
-    convergence index.  Negative fuel is a ``ValueError``.
+    convergence index.  Negative fuel is a ``ValueError``, and fuel that is
+    not an integer a ``TypeError``.
     """
-    if fuel < 0:
+    if operator.index(fuel) < 0:
         raise ValueError(f"negative fuel: {fuel}")
     if s._done is None and s._scanned <= fuel:
         s._pull(fuel, True)
@@ -304,7 +304,7 @@ def bind(s: Seq, f: Callable[[Any], Seq]) -> Seq:
     pending.  It is ``Delay`` bind on the delayed views, so the sequence
     view and the delayed view of a composed computation agree cell for cell.
     """
-    return s if s.never_converges else Seq(D.bind(to_delay(s), lambda a: to_delay(f(a))))
+    return s if s is _BOTTOM else Seq(D.bind(to_delay(s), lambda a: to_delay(f(a))))
 
 
 def map(s: Seq, fn: Callable[[Any], Any]) -> Seq:
@@ -323,19 +323,20 @@ def leq_within(s: Seq, t: Seq, fuel: int) -> Verdict:
     """Is every value ``s`` can finish with one that ``t`` finishes with too?
 
     Fuel-bounded and three-valued, with ``TRUE``/``FALSE`` final (negative
-    fuel is a ``ValueError``, whatever the two sides are):
+    fuel is a ``ValueError`` and non-integer fuel a ``TypeError``, whatever
+    the two sides are):
 
     * ``TRUE`` when both sides converge within fuel to equal values, or when
-      the question is settled structurally (same object; or ``s`` never
-      converges, making the claim vacuous).
+      the question is settled structurally (same object; or ``s`` is
+      ``bottom()``, making the claim vacuous).
     * ``FALSE`` when both sides converge within fuel to distinct values —
       the one shape of refutation two finite witnesses can establish.
     * ``UNKNOWN`` otherwise; in particular a converged left against a silent
       right stays unknown forever, since divergence cannot be confirmed.
     """
-    if fuel < 0:
+    if operator.index(fuel) < 0:
         raise ValueError(f"negative fuel: {fuel}")
-    if s is t or s.never_converges:
+    if s is t or s is _BOTTOM:
         return Verdict.TRUE
     ws = converges_within(s, fuel)
     if ws is None:

@@ -26,6 +26,12 @@ def test_negative_fuel_is_rejected():
         D.run_fuel(laters_n(D.now(1), 5), -1)
 
 
+def test_fuel_that_is_not_an_integer_is_rejected():
+    for fuel in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            D.run_fuel(laters_n(D.now(1), 5), fuel)
+
+
 def test_observation_is_memoized():
     calls = []
     d = D.Delay(lambda: calls.append(1) or D.Now(3))

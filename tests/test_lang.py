@@ -330,12 +330,6 @@ def test_is_closed_at_any_depth(leaf, wrap):
     assert not lang.is_closed(open_)
 
 
-def test_interpreter_vocabulary_aliases():
-    assert lang.eval is lang.evaluate
-    assert lang.compile is lang.compile_term
-    assert lang.exec is lang.execute
-
-
 # --- contexts that grow, and tail calls ------------------------------------
 
 
@@ -626,6 +620,17 @@ def test_run_and_run_code_keep_the_run_fuel_contract():
             lang.run(t, 1)
     with pytest.raises(TypeError, match="not an instruction"):
         lang.run_code((lang.PushLit(1), "x"), 1)
+
+
+def test_fuel_that_is_not_an_integer_is_rejected():
+    three = parse(r"(\f. f (f 1)) (\x. suc x)")
+    for fuel in (1.5, 2.0, 10.0):
+        with pytest.raises(TypeError):
+            lang.run(three, fuel)
+        with pytest.raises(TypeError):
+            lang.run_code(compile_term(three), fuel)
+        with pytest.raises(TypeError):
+            agree_within(three, fuel)
 
 
 def test_runs_build_no_step_node_on_the_way(monkeypatch):

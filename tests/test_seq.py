@@ -1,10 +1,12 @@
 import gc
+import math
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partiality import cpo
 from partiality import delay as D
 from partiality import seq
 from partiality.seq import PENDING, ChainViolationError, Done, Verdict, Witness
@@ -57,6 +59,20 @@ def test_producer_errors_are_cached_and_reraised():
         s.at(0)
     with pytest.raises(RuntimeError):
         s.at(0)
+
+
+def test_a_failing_factory_is_called_once():
+    calls = []
+
+    def factory():
+        calls.append(1)
+        raise RuntimeError("no producer")
+
+    s = seq.Seq(factory)
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="no producer"):
+            s.at(2)
+    assert len(calls) == 1
 
 
 def test_producer_may_stop_after_its_done_cell():
@@ -189,6 +205,11 @@ def test_of_delay_memory_does_not_grow_with_fuel():
     assert peak(10**5) < 16_384
 
 
+def test_bottom_is_one_sequence():
+    assert seq.bottom() is seq.bottom()
+    assert cpo.bottom_fun(0) is seq.bottom()
+
+
 def test_bottom_absorbs():
     def f(a):
         raise AssertionError("f ran on a sequence that never converges")
@@ -214,15 +235,38 @@ def test_scan_over_a_live_bottom_keeps_memory_flat():
     assert peak(10**4) < 2 * peak(10**3) + 4096
 
 
-def test_a_flagged_bottom_pulls_nothing():
-    def produce():
-        raise AssertionError("a sequence built never to converge was pulled")
-
-    s = seq.Seq(produce, never_converges=True)
-    assert s.at(10**9) is PENDING and seq.converges_within(s, 10**12) is None
+def test_bottom_pulls_nothing():
     b = seq.bottom()
     assert seq.converges_within(b, 10**9) is None and b.at(10**9 + 1) is PENDING
     assert seq.to_delay(b) is D.never()
+
+
+def test_fuel_and_indices_are_integers():
+    b = seq.bottom()
+    with pytest.raises(TypeError):
+        seq.converges_within(seq.unit(1), 1.5)
+    with pytest.raises(TypeError):
+        seq.converges_within(seq.shift(seq.unit(1)), 2.0)
+    with pytest.raises(TypeError):
+        seq.leq_within(b, seq.unit(1), 1.5)
+    with pytest.raises(TypeError):
+        b.at(math.inf)
+    with pytest.raises(TypeError):
+        seq.converges_within(b, math.inf)
+    with pytest.raises(TypeError):
+        seq.unit(1).at(1.5)
+    # none of these reached the shared bottom's source
+    assert seq.to_delay(b) is D.never()
+    assert b.at(10**9) is PENDING
+
+
+def test_to_delay_is_the_source_only_before_a_pull():
+    d = D.later(D.later(D.now(4)))
+    s = seq.of_delay(d)
+    assert seq.to_delay(s) is d
+    s.at(0)
+    assert seq.to_delay(s) is not d
+    assert D.run_fuel(seq.to_delay(s), 5) == D.run_fuel(d, 5) == D.Converged(4, 2)
 
 
 def test_to_delay_counts_pending_as_steps():
