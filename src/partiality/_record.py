@@ -1,0 +1,72 @@
+"""Immutable records: the value semantics of a frozen dataclass, built cheaper."""
+
+from _thread import get_ident
+
+_shown = set()  # (id, thread) of each record whose repr is being built
+
+
+class Record:
+    """The base of the package's immutable records.
+
+    A subclass declares only ``__slots__``, its fields in order.  Once per
+    class, ``__init_subclass__`` writes out ``__init__``, ``__eq__``,
+    ``__hash__`` and ``__repr__`` for those fields, as a frozen dataclass
+    does, and keeps any of them the subclass defines itself.  ``==`` holds
+    between records of the same class whose fields are pairwise identical or
+    equal, and is ``NotImplemented`` across classes; the hash is that of the
+    tuple of fields; the repr reads ``Name(field=value, ...)``, and ``...``
+    for a record met again inside its own repr.  A record has no
+    ``__dict__``, and assigning or deleting a field is an ``AttributeError``.
+    ``__init__`` stores each field through its slot descriptor, and
+    ``__repr__`` keeps its own recursion guard: both cost less than the
+    ``object.__setattr__`` and the wrapper a frozen dataclass uses.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__slots__
+        ns = {"_get_ident": get_ident, "_shown": _shown}
+        ns.update((f"_set_{f}", getattr(cls, f).__set__) for f in fields)
+        attrs = "".join(f"self.{f}, " for f in fields)
+        same = "".join(
+            f"    if self.{f} is not other.{f} and not self.{f} == other.{f}:\n"
+            f"        return False\n"
+            for f in fields
+        )
+        shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+        exec(
+            f"def __init__(self, {', '.join(fields)}):\n"
+            + ("".join(f"    _set_{f}(self, {f})\n" for f in fields) or "    pass\n")
+            + "def __eq__(self, other):\n"
+            "    if other.__class__ is not self.__class__:\n"
+            "        return NotImplemented\n"
+            f"{same}"
+            "    return True\n"
+            "def __hash__(self):\n"
+            f"    return hash(({attrs}))\n"
+            "def __repr__(self):\n"
+            "    key = id(self), _get_ident()\n"
+            "    if key in _shown:\n"
+            "        return '...'\n"
+            "    _shown.add(key)\n"
+            "    try:\n"
+            f"        return f'{{self.__class__.__qualname__}}({shown})'\n"
+            "    finally:\n"
+            "        _shown.discard(key)\n",
+            ns,
+        )
+        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+            if name not in cls.__dict__:
+                ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, ns[name])
+        cls.__match_args__ = fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)

@@ -16,8 +16,9 @@ node memoizes its own layer, so a node shared by several binds runs once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable
+
+from ._record import Record
 
 
 class Delay:
@@ -37,20 +38,16 @@ class Delay:
         return self._observed
 
 
-@dataclass(frozen=True)
-class Now:
-    value: Any
+class Now(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Later:
-    rest: Delay
+class Later(Record):
+    __slots__ = ("rest",)
 
 
-@dataclass(frozen=True)
-class Converged:
-    value: Any
-    steps: int
+class Converged(Record):
+    __slots__ = ("value", "steps")
 
 
 class _Timeout:

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from typing import Any
 
+from ._record import Record
 from .delay import TIMEOUT, Converged, Delay, Later, Now, _Timeout
 from .seq import Verdict
 
@@ -57,30 +57,24 @@ from .seq import Verdict
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(Record):
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
-class Lam:
-    body: "Term"
+class Lam(Record):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class App(Record):
+    __slots__ = ("fn", "arg")
 
 
-@dataclass(frozen=True)
-class Lit:
-    n: int
+class Lit(Record):
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
-class Suc:
-    arg: "Term"
+class Suc(Record):
+    __slots__ = ("arg",)
 
 
 Term = "Var | Lam | App | Lit | Suc"
@@ -111,15 +105,12 @@ def is_closed(t) -> bool:
 # values
 
 
-@dataclass(frozen=True)
-class Nat:
-    n: int
+class Nat(Record):
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
-class Closure:
-    body: Any
-    env: tuple
+class Closure(Record):
+    __slots__ = ("body", "env")
 
 
 class _Stuck:
@@ -144,40 +135,32 @@ def render_value(v) -> str:
 # the stack machine
 
 
-@dataclass(frozen=True)
-class PushLit:
-    n: int
+class PushLit(Record):
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
-class PushVar:
-    index: int
+class PushVar(Record):
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
-class PushClo:
-    code: tuple
+class PushClo(Record):
+    __slots__ = ("code",)
 
 
-@dataclass(frozen=True)
-class Apply:
-    pass
+class Apply(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add1:
-    pass
+class Add1(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Ret:
-    pass
+class Ret(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VmClosure:
-    code: tuple
-    env: tuple
+class VmClosure(Record):
+    __slots__ = ("code", "env")
 
 
 _APPLY, _ADD1, _RET = Apply(), Add1(), Ret()

@@ -26,19 +26,19 @@ a finished scan with no done cell, so no index makes it pull; it absorbs
 A producer yields cells in index order and may stop right after its first
 done cell, since every later cell is that one; it may not stop before one.
 A non-monotone producer raises ``MonotonicityError`` at the offending index.
-Fuel, and an index that makes a sequence pull, must be integers, or it is a
-``TypeError``.  Use from a single thread.
+Fuel and indices must be integers, or it is a ``TypeError``.  Use from a
+single thread.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from math import inf, isqrt
 from typing import Any, Callable, Iterator, Optional
 
 from . import delay as D
+from ._record import Record
 from .delay import Delay, Later, Now
 
 
@@ -52,9 +52,8 @@ class _Pending:
 PENDING = _Pending()
 
 
-@dataclass(frozen=True)
-class Done:
-    value: Any
+class Done(Record):
+    __slots__ = ("value",)
 
 
 class Verdict(Enum):
@@ -72,10 +71,8 @@ def verdict_and(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.TRUE
 
 
-@dataclass(frozen=True)
-class Witness:
-    value: Any
-    index: int
+class Witness(Record):
+    __slots__ = ("value", "index")
 
 
 class ChainViolationError(Exception):
@@ -133,10 +130,12 @@ class Seq:
 
     def at(self, n: int):
         """The cell at index ``n`` (``Done(value)`` or ``PENDING``)."""
-        if not 0 <= n < self._scanned:
-            if operator.index(n) < 0:
+        if type(n) is not int or not 0 <= n < self._scanned:
+            n = operator.index(n)
+            if n < 0:
                 raise IndexError("negative index")
-            self._pull(n, False)
+            if n >= self._scanned:
+                self._pull(n, False)
         return self._done if n >= self._done_at else PENDING
 
     def _pull(self, n: int, stop_at_done: bool) -> None:
@@ -391,7 +390,11 @@ def lub(family: Callable[[int], Seq]) -> Seq:
         while True:
             if i == len(members):
                 members.append(family(i))
-            p = members[i].at(j)
+            m = members[i]
+            if j < m._scanned:  # a scanned cell, read as `at` reads it, without the call
+                p = m._done if j >= m._done_at else PENDING
+            else:
+                p = m.at(j)
             if p is not PENDING:
                 if first is None:
                     first = (i, j, p.value)

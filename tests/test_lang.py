@@ -166,7 +166,7 @@ def test_show_round_trips_at_any_depth(leaf, wrap):
     for _ in range(10**5):
         t = wrap(t)
     text = show(t)
-    # strings are compared: == on a deep frozen dataclass recurses
+    # strings are compared: == on a deep term recurses, once per level
     assert show(parse(text)) == text
 
 

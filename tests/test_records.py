@@ -1,0 +1,213 @@
+"""The package's immutable records against frozen dataclasses as their oracle.
+
+Every layer, value, term and instruction is a slotted record whose methods
+are generated once per class.  Each class has a frozen dataclass twin here
+with the same name and fields, written out below; ``==``, hash values and
+repr bytes must match the twins' on terms, their machine code and the
+values and layers their runs give.
+"""
+
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+from dataclasses import make_dataclass
+from unittest import mock
+
+import pytest
+
+from partiality import delay as D
+from partiality import lang as L
+from partiality import seq
+from partiality._record import Record
+
+FIELDS = {
+    D.Now: ("value",),
+    D.Later: ("rest",),
+    D.Converged: ("value", "steps"),
+    seq.Done: ("value",),
+    seq.Witness: ("value", "index"),
+    L.Var: ("index",),
+    L.Lam: ("body",),
+    L.App: ("fn", "arg"),
+    L.Lit: ("n",),
+    L.Suc: ("arg",),
+    L.Nat: ("n",),
+    L.Closure: ("body", "env"),
+    L.PushLit: ("n",),
+    L.PushVar: ("index",),
+    L.PushClo: ("code",),
+    L.Apply: (),
+    L.Add1: (),
+    L.Ret: (),
+    L.VmClosure: ("code", "env"),
+}
+TWINS = {cls: make_dataclass(cls.__name__, fields, frozen=True) for cls, fields in FIELDS.items()}
+
+
+def twin(x):
+    """``x`` with every record in it, through tuples, replaced by its twin."""
+    ty = type(x)
+    if ty in TWINS:
+        return TWINS[ty](*(twin(getattr(x, f)) for f in FIELDS[ty]))
+    if ty is tuple:
+        return tuple(twin(y) for y in x)
+    return x
+
+
+def classes(x):
+    """The record classes anywhere in ``x``."""
+    ty = type(x)
+    if ty in FIELDS:
+        yield ty
+        for f in FIELDS[ty]:
+            yield from classes(getattr(x, f))
+    elif ty is tuple:
+        for y in x:
+            yield from classes(y)
+
+
+def sightings(t, fuel=40):
+    """The records a term leads to: itself, its code, and what both back
+    ends, their first layers and a sequence view of the interpreter give."""
+    code = L.compile_term(t)
+    s = seq.of_delay(L.evaluate(t))
+    return [
+        t,
+        code,
+        L.run(t, fuel),
+        L.run_code(code, fuel),
+        L.evaluate(t).observe(),
+        L.execute(code).observe(),
+        seq.converges_within(s, fuel),
+        s.at(fuel),
+    ]
+
+
+def test_records_match_their_dataclass_twins():
+    rng = random.Random(18)
+    terms = [L.gen_term(rng, rng.randrange(1, 12)) for _ in range(2000)]
+    seen, equal, unequal = set(), 0, 0
+    prev = sightings(terms[-1])
+    for t in terms:
+        here = sightings(t)
+        again = sightings(L.parse(L.show(t)))  # equal values, other objects
+        twins = [twin(x) for x in here]
+        for x, tx in zip(here, twins):
+            assert repr(x) == repr(tx)
+            assert hash(x) == hash(tx)
+            seen.update(classes(x))
+        for others in (again, prev):
+            for x, tx in zip(here, twins):
+                for y in others:
+                    ty = twin(y)
+                    assert (x == y) is (tx == ty)
+                    assert (x != y) is (tx != ty)
+                    equal += x == y
+                    unequal += x != y
+        prev = here
+    assert seen == set(FIELDS)
+    assert equal > 10_000 and unequal > 10_000
+
+
+def samples():
+    """One record of each class, with fields that are values."""
+    omega = L.OMEGA
+    code = L.compile_term(omega)
+    return [
+        D.Now(L.Nat(3)),
+        D.Later(D.never()),
+        D.Converged(L.Nat(3), 2),
+        seq.Done("a"),
+        seq.Witness(5, 7),
+        L.Var(0),
+        L.Lam(L.Var(0)),
+        omega,
+        L.Lit(2),
+        L.Suc(L.Lit(2)),
+        L.Nat(3),
+        L.Closure(omega.fn.body, (L.Nat(1), L.Nat(2))),
+        L.PushLit(1),
+        L.PushVar(0),
+        code[0],
+        L.Apply(),
+        L.Add1(),
+        L.Ret(),
+        L.VmClosure(code, (L.Nat(1),)),
+    ]
+
+
+@pytest.mark.parametrize("x", samples(), ids=lambda x: type(x).__name__)
+def test_a_record_is_immutable_and_slotted(x):
+    assert type(x) in FIELDS and isinstance(x, Record)
+    fields = FIELDS[type(x)]
+    assert type(x).__match_args__ == fields
+    assert not hasattr(x, "__dict__")
+    tx = twin(x)
+    assert x.__eq__(tx) is NotImplemented and tx.__eq__(x) is NotImplemented
+    assert x == mock.ANY and x != tx
+    assert hash(x) == hash(tx)
+    before = repr(x)
+    assert before == repr(tx)
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert repr(x) == before
+
+
+@pytest.mark.parametrize("x", samples(), ids=lambda x: type(x).__name__)
+def test_a_record_round_trips_through_copy_and_pickle(x):
+    assert x.__reduce__() == (type(x), tuple(getattr(x, f) for f in FIELDS[type(x)]))
+    if type(x) is D.Later:
+        return  # its field is a Delay, which is equal only to itself
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x
+        assert hash(y) == hash(x) and repr(y) == repr(x)
+
+
+def test_match_reads_fields_by_position():
+    match L.parse(r"(\x. suc x) 4"):
+        case L.App(L.Lam(L.Suc(L.Var(i))), L.Lit(n)):
+            assert (i, n) == (0, 4)
+        case _:
+            pytest.fail("no match")
+
+
+def test_a_record_keeps_the_methods_its_class_defines():
+    class Shown(Record):
+        __slots__ = ("a", "b")
+
+        def __repr__(self):
+            return "shown"
+
+    x = Shown(1, b=[2])
+    assert repr(x) == "shown" and x == Shown(1, [2]) and x != Shown(1, [3])
+    with pytest.raises(TypeError):
+        hash(x)  # the hash of the fields, as with a frozen dataclass
+
+
+def test_a_self_containing_record_prints_as_a_dataclass_does():
+    items, twin_items = [], []
+    x, tx = D.Now(items), TWINS[D.Now](twin_items)
+    items.append(x)
+    twin_items.append(tx)
+    assert repr(x) == repr(tx) == "Now(value=[...])"
+
+
+def test_fields_compare_as_tuple_items_do():
+    # identical fields are equal before `==` is asked, as in a tuple
+    nan = float("nan")
+    assert D.Now(nan) == D.Now(nan) and (nan,) == (nan,)
+    assert D.Now(nan) != D.Now(float("nan"))
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(os.path.dirname(L.__file__))
+    check = "import sys, partiality.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

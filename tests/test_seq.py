@@ -260,6 +260,18 @@ def test_fuel_and_indices_are_integers():
     assert b.at(10**9) is PENDING
 
 
+def test_an_index_is_checked_however_far_the_sequence_was_scanned():
+    t = seq.of_delay(D.map(D.never(), str))
+    t.at(3)  # 0.5 and 2.0 now lie inside the scanned prefix
+    u = seq.unit(1)
+    u.at(0)  # complete: every index lies inside its scan
+    for s, n in ((t, 0.5), (t, 2.0), (t, 5.5), (u, 5.5), (seq.bottom(), 1.5)):
+        with pytest.raises(TypeError):
+            s.at(n)
+    # an index that is an integer of another type is still one
+    assert t.at(True) is PENDING and u.at(True) == Done(1)
+
+
 def test_to_delay_is_the_source_only_before_a_pull():
     d = D.later(D.later(D.now(4)))
     s = seq.of_delay(d)
