@@ -8,9 +8,15 @@ redoes work, and observation behaves as a pure function.  Nontermination is
 representable (``never``) and every observation is productive: it returns
 after one layer no matter what the computation does.
 
+What a node memoizes is its step: ``Now(value)``, or the next ``Delay``
+itself.  The package's own walkers (``run_fuel``, the bind loop, the ``seq``
+scans and ``lang``'s step nodes) take steps through ``_next`` and build no
+``Later``; ``observe`` wraps the next node in one the first time it is asked,
+and keeps that one, so a walk costs one object per step.
+
 ``bind`` builds a node that one loop observes: binds waiting on their source
 sit on an explicit list, so nesting binds costs no Python frames, and each
-node memoizes its own layer, so a node shared by several binds runs once.
+node memoizes its own step, so a node shared by several binds runs once.
 """
 
 from __future__ import annotations
@@ -22,20 +28,38 @@ from ._record import Record
 
 
 class Delay:
-    """A suspended computation; ``observe`` yields the next layer."""
+    """A suspended computation; ``observe`` yields the next layer.
 
-    __slots__ = ("_thunk", "_observed")
+    ``thunk`` returns the first layer, ``Now(value)`` or ``Later(rest)``, or
+    the next ``Delay`` itself, which stands for ``Later`` of it.  It runs at
+    most once.  ``_step`` holds the thunk until it has run, then the step:
+    the value's ``Now``, or the next node.  ``_layer`` holds what ``observe``
+    returned, once it has been asked.  Neither a ``Now`` nor a node is
+    callable, so a callable ``_step`` is a thunk still to run.
+    """
 
-    def __init__(self, thunk: Callable[[], "Now | Later"]):
-        self._thunk = thunk
-        self._observed = None
+    __slots__ = ("_step", "_layer")
+
+    def __init__(self, thunk: Callable[[], "Now | Later | Delay"]):
+        self._step, self._layer = thunk, None
+
+    def _next(self) -> "Now | Delay":
+        # The step: ``Now(value)``, or the next node, with no ``Later`` built.
+        step = self._step
+        if callable(step):  # the thunk, not run yet
+            step = step()
+            if type(step) is Later:
+                self._layer, step = step, step.rest
+            self._step = step
+        return step
 
     def observe(self) -> "Now | Later":
-        # The thunk runs at most once; all later observations reuse the result.
-        if self._observed is None:
-            self._observed = self._thunk()
-            self._thunk = None
-        return self._observed
+        # Built from the step on the first call; later calls return the same layer.
+        layer = self._layer
+        if layer is None:
+            step = self._next()
+            layer = self._layer = step if type(step) is Now else Later(step)
+        return layer
 
 
 class Now(Record):
@@ -56,6 +80,9 @@ class _Timeout:
     def __repr__(self) -> str:
         return "TIMEOUT"
 
+    def __reduce__(self) -> str:
+        return "TIMEOUT"  # copies and unpickles as the module's one instance
+
 
 TIMEOUT = _Timeout()
 
@@ -65,7 +92,9 @@ def now(a: Any) -> Delay:
 
 
 def later(d: Delay) -> Delay:
-    return Delay(lambda: Later(d))
+    node = Delay(None)
+    node._step = d  # already stepped: its step is ``d``
+    return node
 
 
 def defer(k: Callable[[], Delay]) -> Delay:
@@ -75,7 +104,7 @@ def defer(k: Callable[[], Delay]) -> Delay:
     only runs when the step is observed, so a definition like
     ``loop = defer(lambda: loop)`` unfolds forever instead of hanging.
     """
-    return Delay(lambda: Later(k()))
+    return Delay(k)
 
 
 def never() -> Delay:
@@ -83,7 +112,8 @@ def never() -> Delay:
     return _NEVER
 
 
-_NEVER = Delay(lambda: Later(_NEVER))
+_NEVER = Delay(None)
+_NEVER._step = _NEVER  # its step is itself
 
 
 def run_fuel(d: Delay, fuel: int) -> Converged | _Timeout:
@@ -98,14 +128,11 @@ def run_fuel(d: Delay, fuel: int) -> Converged | _Timeout:
     if operator.index(fuel) < 0:
         raise ValueError(f"negative fuel: {fuel}")
     steps = 0
-    while True:
-        ob = d.observe()
-        if isinstance(ob, Now):
-            return Converged(ob.value, steps)
+    while type(d := d._next()) is not Now:
         if steps == fuel:
             return TIMEOUT
-        d = ob.rest
         steps += 1
+    return Converged(d.value, steps)
 
 
 def bind(d: Delay, f: Callable[[Any], Delay]) -> Delay:
@@ -117,49 +144,51 @@ def bind(d: Delay, f: Callable[[Any], Delay]) -> Delay:
     return _Bind(d, f)
 
 
-_BUSY = object()  # the layer of a bind while the loop works it out
+_BUSY = object()  # the step of a bind while the loop works it out
 
 
 class _Bind(Delay):
     __slots__ = ("_src", "_f")
 
     def __init__(self, src: Delay, f: Callable[[Any], Delay]):
-        self._src, self._f, self._observed = src, f, None
+        self._src, self._f = src, f
+        self._step = self._layer = None
 
-    def observe(self) -> "Now | Later":
-        # The loop.  Binds whose layer is not known yet wait on a list; a bind
-        # whose source is done holds f's result in place of both.  After an
-        # exception the waiting binds are unobserved again, as they were.
-        if self._observed is None:
+    def _next(self) -> "Now | Delay":
+        # The loop.  Binds whose step is not known yet wait on a list; a bind
+        # whose source is done holds f's result in place of both, and a source
+        # that steps to a node steps each waiting bind to a bind on that node.
+        # After an exception the waiting binds are unstepped again, as they were.
+        if self._step is None:
             d, waiting = self, []
             try:
                 while True:
-                    while isinstance(d, _Bind) and d._observed is None:
-                        d._observed = _BUSY
+                    while isinstance(d, _Bind) and d._step is None:
+                        d._step = _BUSY
                         waiting.append(d)
                         d = d._src
-                    ob = d.observe()
+                    step = d._next()
                     while waiting:
                         b = waiting[-1]
                         f = b._f
                         if f is not None:
-                            if isinstance(ob, Now):
-                                b._src = d = f(ob.value)  # f leaves the node once it returns
+                            if type(step) is Now:
+                                b._src = d = f(step.value)  # f leaves the node once it returns
                                 b._f = None
                                 break
-                            ob = Later(_Bind(ob.rest, f))
-                        b._observed = ob
+                            step = _Bind(step, f)
+                        b._step = step
                         b._src = b._f = None
                         waiting.pop()
                     else:
                         break
             except BaseException:
                 for b in waiting:
-                    b._observed = None
+                    b._step = None
                 raise
-        elif self._observed is _BUSY:
+        elif self._step is _BUSY:
             raise ValueError("a bind needs its own value before it takes a step")
-        return self._observed
+        return self._step
 
 
 def map(d: Delay, fn: Callable[[Any], Any]) -> Delay:

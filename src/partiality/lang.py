@@ -28,7 +28,7 @@ terms use de Bruijn indices.  There are two executable accounts:
 
 Each back end has one loop, and it takes a budget: it runs through calls or
 beta reductions in place while the budget lasts, and returns the step it
-stops at as a node.  A node's ``observe`` is that loop with budget 0.  A run
+stops at as a node.  A node's step is that loop with budget 0.  A run
 that only wants the answer goes through ``run`` or ``run_code``, the loop
 with the whole fuel as its budget, which builds no node per step and answers
 exactly as ``run_fuel`` over ``evaluate`` or ``execute`` would.
@@ -49,7 +49,7 @@ import random
 from typing import Any
 
 from ._record import Record
-from .delay import TIMEOUT, Converged, Delay, Later, Now, _Timeout
+from .delay import TIMEOUT, Converged, Delay, Now, _Timeout
 from .seq import Verdict
 
 
@@ -118,6 +118,9 @@ class _Stuck:
 
     def __repr__(self) -> str:
         return "STUCK"
+
+    def __reduce__(self) -> str:
+        return "STUCK"  # copies and unpickles as the module's one instance
 
 
 STUCK = _Stuck()
@@ -237,24 +240,25 @@ class _Call(Delay):
     __slots__ = ("_code", "_env", "_machine")
 
     def __init__(self, code: tuple, env: tuple, machine: tuple):
-        self._code, self._env, self._machine, self._observed = code, env, machine, None
+        self._code, self._env, self._machine = code, env, machine
+        self._step = self._layer = None
 
-    def observe(self) -> "Now | Later":
-        if self._observed is None:
-            self._observed = _run(self._code, self._env, self._machine, 0)
+    def _next(self) -> "Now | _Call":
+        if self._step is None:
+            self._step = _run(self._code, self._env, self._machine, 0)
             self._code = self._env = self._machine = None
-        return self._observed
+        return self._step
 
 
 def _end(v, budget: int) -> "Now | Converged":
     # the value of a run: ``Now(v)`` once the budget is spent, so a step node,
-    # whose budget is 0, keeps it as its layer; else ``Converged(v, budget left)``
+    # whose budget is 0, keeps it as its step; else ``Converged(v, budget left)``
     return Converged(v, budget) if budget else Now(v)
 
 
-def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converged | Later":
+def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converged | _Call":
     # run through up to ``budget`` closure calls and stop at the next one as
-    # ``Later``, or end at the value of the outermost code (``_end``)
+    # its node, or end at the value of the outermost code (``_end``)
     stack, frames = machine
     pc, end = 0, len(code)
     while pc < end:
@@ -274,7 +278,7 @@ def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converg
             if pc == end or type(code[pc]) is not Ret:
                 frames.append((code, pc, env))  # a tail call, just before Ret, needs none
             if not budget:
-                return Later(_Call(fv.code, fv.env + (av,), machine))
+                return _Call(fv.code, fv.env + (av,), machine)
             budget -= 1
             code, pc, env = fv.code, 0, fv.env + (av,)
             end = len(code)
@@ -312,11 +316,11 @@ def run_code(code: tuple, fuel: int) -> "Converged | _Timeout":
 
 def _spend(loop, start, machine, fuel: int) -> "Converged | _Timeout":
     # a back end's loop with the whole fuel as its budget; a loop that stops
-    # at a step, or ends with ``Now``, has spent all of it
+    # at a step node, or ends with ``Now``, has spent all of it
     if operator.index(fuel) < 0:
         raise ValueError(f"negative fuel: {fuel}")
     ob = loop(start, (), machine, fuel)
-    if type(ob) is Later:
+    if isinstance(ob, _Call):
         return TIMEOUT
     return Converged(ob.value, fuel - ob.steps if type(ob) is Converged else fuel)
 
@@ -342,19 +346,19 @@ class _Eval(_Call):
 
     __slots__ = ()
 
-    def observe(self) -> "Now | Later":
-        if self._observed is None:
-            self._observed = _eval(self._code, self._env, self._machine, 0)
+    def _next(self) -> "Now | _Eval":
+        if self._step is None:
+            self._step = _eval(self._code, self._env, self._machine, 0)
             self._code = self._env = self._machine = None
-        return self._observed
+        return self._step
 
 
 _SUC = object()  # the continuation that takes the successor of a value
 
 
-def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | Later":
+def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | _Eval":
     # evaluate through up to ``budget`` beta reductions and stop at the next
-    # one as ``Later``, or end at the value of the whole run (``_end``); ``konts``
+    # one as its node, or end at the value of the whole run (``_end``); ``konts``
     # holds ``_SUC``, an argument ``(term, env)`` still to evaluate, or a
     # function value waiting for its argument's value
     while True:
@@ -386,7 +390,7 @@ def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | Later":
                     break
                 elif type(k) is Closure:
                     if not budget:
-                        return Later(_Eval(k.body, k.env + (v,), konts))
+                        return _Eval(k.body, k.env + (v,), konts)
                     budget -= 1
                     t, env = k.body, k.env + (v,)
                     break

@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from . import delay as D
 from ._record import Record
-from .delay import Delay, Later, Now
+from .delay import Delay, Now
 
 
 class _Pending:
@@ -47,6 +47,9 @@ class _Pending:
 
     def __repr__(self) -> str:
         return "PENDING"
+
+    def __reduce__(self) -> str:
+        return "PENDING"  # copies and unpickles as the module's one instance
 
 
 PENDING = _Pending()
@@ -225,10 +228,9 @@ def unshift(s: Seq) -> Seq:
 
 def _steps(d: Delay) -> Iterator:
     # Advances its own local, so only the current step stays reachable.
-    while isinstance(ob := d.observe(), Later):
+    while type(d := d._next()) is not Now:
         yield PENDING
-        d = ob.rest
-    yield Done(ob.value)
+    yield Done(d.value)
 
 
 def of_delay(d: Delay) -> Seq:
@@ -249,10 +251,10 @@ def to_delay(s: Seq) -> Delay:
     if isinstance(s._src, Delay):
         return s._src
 
-    def step(i: int) -> "Now | Later":
+    def step(i: int) -> "Now | Delay":
         p = s.at(i)
         if p is PENDING:
-            return Later(Delay(lambda: step(i + 1)))
+            return Delay(lambda: step(i + 1))
         return Now(p.value)
 
     return Delay(lambda: step(0))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partiality import delay as D
-from helpers import laters_n
+from partiality import lang, seq
+from helpers import laters_n, shift_n
 
 
 def test_now_converges_in_zero_steps():
@@ -38,6 +39,13 @@ def test_observation_is_memoized():
     d.observe()
     d.observe()
     assert calls == [1]
+
+
+def test_observe_returns_the_layer_a_thunk_gave():
+    layer = D.Later(D.now(1))
+    d = D.Delay(lambda: layer)
+    assert D.run_fuel(d, 1) == D.Converged(1, 1)
+    assert d.observe() is layer
 
 
 def test_defer_is_lazy_until_observed():
@@ -179,3 +187,113 @@ def test_long_bind_chain_keeps_steps_and_a_shared_source_runs_once():
     both = D.bind(shared, lambda a: D.map(d, lambda b: (a, b)))
     assert D.run_fuel(both, 10**3) == D.Converged((1, 1 + sum(range(10**4))), 2 + 2 + 100)
     assert calls == [1]
+
+
+# --- what a node memoizes ----------------------------------------------------
+
+
+def counted(calls, tag, f):
+    def g(*args):
+        calls.append((tag, len(calls)))
+        return f(*args)
+
+    return g
+
+
+def test_a_walk_builds_no_later(monkeypatch):
+    # the walkers take each step as the next node itself; only observe wraps
+    # one in a Later
+    built = [0]
+    init = D.Later.__init__
+
+    def counting_init(self, rest):
+        built[0] += 1
+        init(self, rest)
+
+    monkeypatch.setattr(D.Later, "__init__", counting_init)
+    assert D.run_fuel(lang.evaluate(lang.OMEGA), 1000) is D.TIMEOUT
+    assert D.run_fuel(lang.execute(lang.compile_term(lang.OMEGA)), 1000) is D.TIMEOUT
+    tower = D.now(0)
+    for _ in range(100):
+        tower = D.bind(tower, lambda v: D.later(D.now(v + 1)))
+    assert D.run_fuel(tower, 100) == D.Converged(100, 100)
+    assert seq.converges_within(shift_n(seq.unit(7), 100), 100) == seq.Witness(7, 100)
+    scanned = seq.of_delay(laters_n(D.now(5), 300))
+    assert scanned.at(300) == seq.Done(5)
+    assert D.run_fuel(seq.to_delay(scanned), 300) == D.Converged(5, 300)
+    assert built[0] == 0
+    D.later(D.now(1)).observe()
+    assert built[0] == 1
+
+
+TWICE = lang.parse(r"(\f. f (f 1)) (\x. suc x)")
+FUEL = 12
+
+
+def _user_chain(calls, k=3):
+    def step(i):
+        calls.append(("step", i))
+        return D.Now(i) if i == k else D.Later(D.Delay(lambda: step(i + 1)))
+
+    return D.Delay(lambda: step(0))
+
+
+def _scanned(s):
+    s.at(FUEL)
+    return s
+
+
+NODE_KINDS = {
+    "thunk": _user_chain,
+    "thunk_giving_a_node": lambda calls: D.Delay(counted(calls, "thunk", lambda: laters_n(D.now(1), 2))),
+    "now": lambda calls: D.now(4),
+    "later": lambda calls: laters_n(D.now(4), 3),
+    "defer": lambda calls: D.defer(counted(calls, "defer", lambda: laters_n(D.now(2), 2))),
+    "never": lambda calls: D.never(),
+    "bind_and_map": lambda calls: D.map(
+        D.bind(laters_n(D.now(1), 2), counted(calls, "bind", lambda a: laters_n(D.now(a + 1), 2))),
+        counted(calls, "map", str),
+    ),
+    "to_delay": lambda calls: seq.to_delay(_scanned(seq.of_delay(laters_n(D.now(3), 4)))),
+    "evaluate": lambda calls: lang.evaluate(TWICE),
+    "execute": lambda calls: lang.execute(lang.compile_term(TWICE)),
+}
+
+
+def observed(d):
+    """The layers ``observe`` gives along ``d``, for as many steps as ``run_fuel`` at FUEL takes."""
+    layers = [d.observe()]
+    while type(layers[-1]) is D.Later and len(layers) <= FUEL:
+        layers.append(layers[-1].rest.observe())
+    return layers
+
+
+def shape(layers):
+    return [layer.value if type(layer) is D.Now else "later" for layer in layers]
+
+
+@pytest.mark.parametrize("kind", NODE_KINDS)
+def test_observe_and_run_fuel_share_each_nodes_step(kind, monkeypatch):
+    calls = []
+    for name in ("_eval", "_run"):
+        monkeypatch.setattr(lang, name, counted(calls, name, getattr(lang, name)))
+
+    # run_fuel first: observe then wraps the node each step led to, once
+    d = NODE_KINDS[kind](calls)
+    answer = D.run_fuel(d, FUEL)
+    ran = list(calls)
+    layers = observed(d)
+    for layer in layers:
+        assert d.observe() is layer
+        if type(layer) is D.Later:
+            assert layer.rest is d._next()
+            d = layer.rest
+    assert calls == ran  # every thunk and continuation ran once, in the walk
+
+    # observe first: run_fuel then takes the steps observe memoized
+    calls.clear()
+    d = NODE_KINDS[kind](calls)
+    assert shape(observed(d)) == shape(layers)
+    ran = list(calls)
+    assert D.run_fuel(d, FUEL) == answer
+    assert calls == ran

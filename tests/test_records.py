@@ -169,6 +169,19 @@ def test_a_record_round_trips_through_copy_and_pickle(x):
         assert hash(y) == hash(x) and repr(y) == repr(x)
 
 
+@pytest.mark.parametrize("x", [L.STUCK, seq.PENDING, D.TIMEOUT], ids=repr)
+def test_a_singleton_is_itself_after_copy_and_pickle(x):
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y is x
+
+
+def test_a_copied_stuck_answer_is_still_stuck():
+    r = D.Converged(L.STUCK, 3)
+    for y in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert y == r and y.value is L.STUCK
+        assert L.render_value(y.value) == "stuck"
+
+
 def test_match_reads_fields_by_position():
     match L.parse(r"(\x. suc x) 4"):
         case L.App(L.Lam(L.Suc(L.Var(i))), L.Lit(n)):
