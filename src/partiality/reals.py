@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
 from typing import Callable
 
-from .seq import Done, PENDING, Seq, from_fn
+from .seq import Done, PENDING, Seq
 
 Rational = Fraction
 
@@ -37,12 +38,16 @@ def is_positive(f: Real) -> Seq:
     (positive) or ``Done(0)`` (negative) and ``f`` is not queried again.
     For the zero real every index is pending.
     """
-    def cell(n: int):
-        if n == 0:
-            return PENDING
-        p, q = f(n).as_integer_ratio()
-        return PENDING if abs(n * p) <= 2 * q else Done(int(p > 0))
-    return from_fn(cell)
+    def produce():
+        yield PENDING
+        for n in count(1):
+            p, q = f(n).as_integer_ratio()
+            if abs(n * p) > 2 * q:
+                yield Done(int(p > 0))
+                return
+            yield PENDING
+
+    return Seq(produce)
 
 
 # ---------------------------------------------------------------------------

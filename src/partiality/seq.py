@@ -25,6 +25,8 @@ a finished scan with no done cell, so no index makes it pull; it absorbs
 (``⊥ >>= f = ⊥``): ``shift``, ``unshift`` and ``bind`` return it as it is.
 A producer yields cells in index order and may stop right after its first
 done cell, since every later cell is that one; it may not stop before one.
+Before that cell it may yield a positive ``int`` r for r pending cells in a
+row, so a run of them costs one step; after it, an ``int`` is not monotone.
 A non-monotone producer raises ``MonotonicityError`` at the offending index.
 Fuel and indices must be integers, or it is a ``TypeError``.  Use from a
 single thread.
@@ -113,13 +115,15 @@ class Seq:
     """A lazily produced sequence of progress cells.
 
     Backed by a ``Delay``, read as ``of_delay`` says, or by a factory for a
-    producer that emits cells in index order.  The producer may stop right
-    after its first done cell, which completes the sequence and drops the
-    producer; stopping before one is an error.  Only the count of cells
-    pulled and the first done cell with its index are kept; failures,
-    ``MonotonicityError`` and a failing factory included, are cached and
-    re-raised.  ``_src`` is the source until the first pull, then the
-    producer, then ``None`` once the sequence is complete.
+    producer that emits cells in index order.  Before its first done cell it
+    may emit a positive ``int`` r for a run of r ``PENDING`` cells, which a
+    pull may end inside; a zero or negative ``int`` is a ``ValueError``.  The
+    producer may stop right after its first done cell, which completes the
+    sequence and drops the producer; stopping before one is an error.  Only
+    the count of cells pulled and the first done cell with its index are
+    kept; failures, ``MonotonicityError`` and a failing factory included, are
+    cached and re-raised.  ``_src`` is the source until the first pull, then
+    the producer, then ``None`` once the sequence is complete.
     """
 
     __slots__ = ("_src", "_scanned", "_done", "_done_at", "_error")
@@ -158,10 +162,15 @@ class Seq:
                 p = next(it)
                 if done is None:
                     if p is not PENDING:
-                        done = self._done = p
-                        self._done_at = k
-                        if stop_at_done:
-                            n = k  # this cell is the last one pulled
+                        if type(p) is not int:
+                            done = self._done = p
+                            self._done_at = k
+                            if stop_at_done:
+                                n = k  # this cell is the last one pulled
+                        elif p > 0:
+                            k += p - 1  # a run of p pending cells, which may pass n
+                        else:
+                            raise ValueError(f"producer gave a run of {p} cells at index {k}")
                 elif p is not done and p != done:
                     raise MonotonicityError(k, p, (self._done_at, done))
                 k += 1
@@ -382,16 +391,31 @@ def lub(family: Callable[[int], Seq]) -> Seq:
     second, different done value, ``ChainViolationError`` is raised from the
     offending cell, naming both witnesses.  That check is why this producer,
     unlike the others, keeps scanning the table after its done cell.
+
+    Members that are ``bottom()`` itself are pending at every index.  While
+    no done cell has been seen, the leading ones (members ``0 .. low - 1``)
+    are passed over a diagonal at a time: from a cell ``(i, j)`` with
+    ``i < low`` the rest of the diagonal is one run of ``i + 1`` pending
+    cells.  Members are still built at ``(i, 0)`` and other cells still read
+    in order, so a chain that starts at ⊥, as ``cpo.lfp``'s does, pays for
+    its members, not for every cell before its first done one.
     """
 
     def produce():
         members: list[Seq] = []
+        low = 0  # members below are bottom() itself, until a done cell is seen
         first: Optional[tuple[int, int, Any]] = None
         cell = PENDING
         i = j = 0
         while True:
             if i == len(members):
-                members.append(family(i))
+                members.append(m := family(i))
+                if m is _BOTTOM and i == low:
+                    low += 1
+            if i < low:  # the rest of this diagonal reads bottom members only
+                yield i + 1
+                i, j = i + j + 1, 0
+                continue
             m = members[i]
             if j < m._scanned:  # a scanned cell, read as `at` reads it, without the call
                 p = m._done if j >= m._done_at else PENDING
@@ -401,6 +425,7 @@ def lub(family: Callable[[int], Seq]) -> Seq:
                 if first is None:
                     first = (i, j, p.value)
                     cell = Done(p.value)
+                    low = 0  # a done result is yielded cell by cell
                 elif p.value != first[2]:
                     raise ChainViolationError(first, (i, j, p.value))
             yield cell

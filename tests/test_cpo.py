@@ -99,10 +99,11 @@ def test_search_finds_the_first_satisfier():
 
 
 def test_search_witness_index_is_the_diagonal_cell():
-    xs = cpo.stream_iterate(0, lambda x: x + 1)
-    # element m = 5 is the first satisfier, found by unrolling depth 6
-    w = seq.converges_within(cpo.search(lambda x: x == 5, xs), 256)
-    assert (w.value, w.index) == (5, seq.cantor_pair(6, 0))
+    # element m is the first satisfier, found by unrolling depth m + 1
+    for m in range(12):
+        xs = cpo.stream_iterate(0, lambda x: x + 1)
+        w = seq.converges_within(cpo.search(lambda x, m=m: x == m, xs), 256)
+        assert (w.value, w.index) == (m, seq.cantor_pair(m + 1, 0)) == (m, (m + 1) * (m + 2) // 2)
 
 
 def test_search_never_satisfied_stays_pending():

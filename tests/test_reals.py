@@ -65,6 +65,27 @@ def test_queries_stop_after_latching():
     assert calls == [1, 2, 3]
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_failing_query_is_made_once_and_cached(k):
+    calls = []
+
+    def f(n):
+        calls.append(n)
+        if n == k:
+            raise ArithmeticError(f"no approximant at {n}")
+        return Fraction(0)
+
+    s = reals.is_positive(f)
+    with pytest.raises(ArithmeticError) as raised:
+        seq.converges_within(s, 50)
+    assert calls == list(range(1, k + 1))
+    with pytest.raises(ArithmeticError) as again:
+        s.at(k + 3)
+    assert again.value is raised.value
+    assert calls == list(range(1, k + 1))
+    assert s.at(k - 1) is PENDING  # the cells before the failing one stay readable
+
+
 def test_zero_scan_memory_does_not_grow_with_fuel():
     # a Seq keeps O(1) state however far it is scanned
     def peak(fuel):

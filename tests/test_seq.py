@@ -110,6 +110,7 @@ def test_from_fn_does_not_call_fn_past_the_done_index(wrap):
     [
         ([PENDING, Done(1), Done(1), Done(2)], (1, Done(1))),
         ([Done(1), Done(1), Done(1), PENDING], (0, Done(1))),
+        ([PENDING, Done(1), Done(1), 3], (1, Done(1))),  # a run after the done cell
     ],
 )
 def test_non_monotone_producer_raises_at_its_index(cells, first):
@@ -129,6 +130,33 @@ def test_non_monotone_producer_raises_at_its_index(cells, first):
     assert s.at(2) == cells[2]
     assert seq.ismon_prefix(seq.Seq(produce), 3)
     assert not seq.ismon_prefix(seq.Seq(produce), 4)
+
+
+def test_a_producer_may_yield_a_run_of_pending_cells():
+    s = seq.Seq(lambda: iter([5, Done(1)]))
+    assert seq.converges_within(s, 2) is None  # the run passes the index asked for
+    assert s.at(4) is PENDING
+    assert seq.converges_within(s, 10) == Witness(1, 5)
+    assert prefix(s, 7) == [PENDING] * 5 + [Done(1)] * 2
+
+
+@pytest.mark.parametrize("run", [0, -2])
+def test_a_run_must_be_positive(run):
+    calls = []
+
+    def factory():
+        calls.append(1)
+        return iter([PENDING, run, Done(1)])
+
+    s = seq.Seq(factory)
+    with pytest.raises(ValueError, match=f"run of {run} cells at index 1") as raised:
+        s.at(3)
+    assert type(raised.value) is ValueError
+    with pytest.raises(ValueError) as again:
+        seq.converges_within(s, 1)
+    assert again.value is raised.value
+    assert s.at(0) is PENDING
+    assert calls == [1]
 
 
 def test_negative_fuel_is_rejected():
@@ -448,6 +476,109 @@ def test_lub_witness_points_into_the_family_table():
         if fam(seq.cantor_unpair(n)[0]).at(seq.cantor_unpair(n)[1]) == Done(w.value)
     ]
     assert hits and hits[0] == w.index
+
+
+def _member(spec, i, log):
+    kind, v, k = spec
+    if kind == "bottom":
+        return seq.bottom()
+    if kind == "never":
+        return seq.of_delay(D.never())
+    if kind == "shift":
+        return shift_n(seq.unit(v), k)
+    # "fn": done with v from index k on, logging each cell it is asked for
+    return seq.from_fn(lambda j: log.append(("touch", i, j)) or (Done(v) if j >= k else PENDING))
+
+
+def _lub_scan(family, n_cells, log):
+    # pulls cells 0, 1, ... one `at` at a time, keeping the log of each pull
+    s = seq.lub(family)
+    cells, events = [], []
+    for n in range(n_cells):
+        mark = len(log)
+        try:
+            cells.append(s.at(n))
+        except ChainViolationError as err:
+            events.append(log[mark:])
+            return cells, events, (err.first, err.second)
+        events.append(log[mark:])
+    return cells, events, None
+
+
+def _lub_oracle(specs, n_cells):
+    # a brute-force scan of the family table in Cantor order: member i is
+    # built at (i, 0), and a "fn" member is asked for cell j up to its done one
+    cells, events, first = [], [], None
+    for n in range(n_cells):
+        i, j = seq.cantor_unpair(n)
+        kind, v, k = specs[i]
+        ev = [("build", i)] if j == 0 else []
+        if kind == "fn" and j <= k:
+            ev.append(("touch", i, j))
+        events.append(ev)
+        if kind in ("shift", "fn") and j >= k:
+            if first is None:
+                first = (i, j, v)
+            elif v != first[2]:
+                return cells, events, (first, (i, j, v))
+        cells.append(PENDING if first is None else Done(first[2]))
+    return cells, events, None
+
+
+def _logged(specs, log):
+    def family(i):
+        log.append(("build", i))
+        return _member(specs[i], i, log)
+
+    return family
+
+
+def test_lub_passes_bottom_prefixes_as_the_brute_force_scan_does(rng):
+    n_cells = 300  # 24 diagonals, members 0..23
+    for trial in range(240):
+        low = trial % 9
+        clash = rng.random() < 0.2
+        kinds = ["bottom", "never", "shift", "fn", "fn"]
+        specs = [("bottom", 0, 0)] * low + [
+            (rng.choice(kinds), rng.randrange(2) if clash else 7, rng.randrange(12))
+            for _ in range(24 - low)
+        ]
+        log = []
+        got = _lub_scan(_logged(specs, log), n_cells, log)
+        want = _lub_oracle(specs, n_cells)
+        assert got == want, specs
+        cells, events, _ = want
+        done = [n for n, c in enumerate(cells) if c is not PENDING]
+        log = []
+        w = seq.converges_within(seq.lub(_logged(specs, log)), n_cells - 1)
+        if done:
+            assert w == Witness(cells[done[0]].value, done[0])
+            assert log == [e for ev in events[: done[0] + 1] for e in ev]
+        else:
+            assert w is None
+
+
+def test_lub_builds_no_member_inside_a_run_it_has_passed():
+    built = []
+    s = seq.lub(lambda i: built.append(i) or seq.bottom())
+    start = seq.cantor_pair(5, 0)
+    assert s.at(start + 2) is PENDING
+    assert built == list(range(6))
+    for n in range(start, start + 6):  # the rest of diagonal 5
+        assert s.at(n) is PENDING
+    assert built == list(range(6))
+    assert s.at(start + 6) is PENDING  # the cell (6, 0) builds member 6
+    assert built == list(range(7))
+
+
+def test_lub_conflict_after_a_bottom_prefix_names_the_oracle_cells():
+    bad = seq.lub(lambda i: seq.bottom() if i < 4 else seq.unit(i % 2))
+    specs = [("bottom", 0, 0)] * 4 + [("shift", i % 2, 0) for i in range(4, 40)]
+    cells, _, (first, second) = _lub_oracle(specs, 300)
+    assert prefix(bad, len(cells)) == cells
+    with pytest.raises(ChainViolationError) as raised:
+        bad.at(len(cells))
+    assert (raised.value.first, raised.value.second) == (first, second) == ((4, 0, 0), (5, 0, 1))
 
 
 def test_antisymmetry_at_verdict_level(rng):
