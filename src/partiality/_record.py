@@ -1,4 +1,4 @@
-"""Immutable records: the value semantics of a frozen dataclass, built cheaper."""
+"""Immutable records, a frozen dataclass's semantics built cheaper, and markers."""
 
 from _thread import get_ident
 
@@ -70,3 +70,18 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Marker:
+    """A named singleton (``PENDING``, ``TIMEOUT``, ``STUCK``) that prints as its
+    name.  ``__reduce__`` gives the name and the instance's ``__module__`` the
+    module that holds it, so ``copy`` and every pickle protocol return it."""
+
+    def __init__(self, name: str, module: str):
+        self._name, self.__module__ = name, module
+
+    def __repr__(self) -> str:
+        return self._name
+
+    def __reduce__(self) -> str:
+        return self._name

@@ -70,14 +70,18 @@ def cmd_compile(args) -> int:
 # ispositive / search
 
 
-def cmd_ispositive(args) -> int:
-    q = reals.parse_rational(args.rational)
-    w = seq.converges_within(reals.is_positive(reals.const_real(q)), args.fuel)
+def _report_witness(s, fuel: int, show: Callable) -> int:
+    w = seq.converges_within(s, fuel)
     if w is None:
-        print(f"unknown fuel={args.fuel}")
+        print(f"unknown fuel={fuel}")
         return 2
-    print(f"{'positive' if w.value == 1 else 'negative'} index={w.index}")
+    print(f"{show(w.value)} index={w.index}")
     return 0
+
+
+def cmd_ispositive(args) -> int:
+    s = reals.is_positive(reals.const_real(reals.parse_rational(args.rational)))
+    return _report_witness(s, args.fuel, lambda v: "positive" if v == 1 else "negative")
 
 
 _PREDS: dict[str, Callable[[int], Callable[[int], bool]]] = {
@@ -113,12 +117,7 @@ def _parse_stream(text: str) -> cpo.Stream:
 def cmd_search(args) -> int:
     q = _parse_pred(args.predicate)
     xs = _parse_stream(args.stream)
-    w = seq.converges_within(cpo.search(q, xs), args.fuel)
-    if w is None:
-        print(f"unknown fuel={args.fuel}")
-        return 2
-    print(f"found {w.value} index={w.index}")
-    return 0
+    return _report_witness(cpo.search(q, xs), args.fuel, "found {}".format)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def lfp(phi: Callable) -> Callable[[Any], Seq]:
 
 
 class Stream:
-    """An infinite cons stream with a memoized tail."""
+    """An infinite cons stream whose tail, once forced, is kept and its thunk dropped."""
 
     __slots__ = ("head", "_tail_thunk", "_tail")
 
@@ -74,6 +74,7 @@ class Stream:
     def tail(self) -> "Stream":
         if self._tail is None:
             self._tail = self._tail_thunk()
+            self._tail_thunk = None
         return self._tail
 
 

@@ -24,24 +24,25 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable
 
-from ._record import Record
+from ._record import Marker, Record
 
 
 class Delay:
     """A suspended computation; ``observe`` yields the next layer.
 
-    ``thunk`` returns the first layer, ``Now(value)`` or ``Later(rest)``, or
-    the next ``Delay`` itself, which stands for ``Later`` of it.  It runs at
-    most once.  ``_step`` holds the thunk until it has run, then the step:
-    the value's ``Now``, or the next node.  ``_layer`` holds what ``observe``
-    returned, once it has been asked.  Neither a ``Now`` nor a node is
-    callable, so a callable ``_step`` is a thunk still to run.
+    ``step`` is a thunk that returns the first layer, ``Now(value)`` or
+    ``Later(rest)``, or the next ``Delay`` itself, which stands for ``Later``
+    of it; it runs at most once.  Neither a ``Now`` nor a node is callable,
+    so an argument that is not callable is the step itself: ``now(a)`` is
+    ``Delay(Now(a))`` and ``later(d)`` is ``Delay(d)``.  ``_step`` holds the
+    thunk until it has run, then the step; ``_layer`` holds what ``observe``
+    returned, once it has been asked.
     """
 
     __slots__ = ("_step", "_layer")
 
-    def __init__(self, thunk: Callable[[], "Now | Later | Delay"]):
-        self._step, self._layer = thunk, None
+    def __init__(self, step: "Now | Delay | Callable[[], Now | Later | Delay]"):
+        self._step, self._layer = step, None
 
     def _next(self) -> "Now | Delay":
         # The step: ``Now(value)``, or the next node, with no ``Later`` built.
@@ -74,27 +75,15 @@ class Converged(Record):
     __slots__ = ("value", "steps")
 
 
-class _Timeout:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "TIMEOUT"
-
-    def __reduce__(self) -> str:
-        return "TIMEOUT"  # copies and unpickles as the module's one instance
-
-
-TIMEOUT = _Timeout()
+TIMEOUT = Marker("TIMEOUT", __name__)
 
 
 def now(a: Any) -> Delay:
-    return Delay(lambda: Now(a))
+    return Delay(Now(a))
 
 
 def later(d: Delay) -> Delay:
-    node = Delay(None)
-    node._step = d  # already stepped: its step is ``d``
-    return node
+    return Delay(d)
 
 
 def defer(k: Callable[[], Delay]) -> Delay:
@@ -116,7 +105,13 @@ _NEVER = Delay(None)
 _NEVER._step = _NEVER  # its step is itself
 
 
-def run_fuel(d: Delay, fuel: int) -> Converged | _Timeout:
+def _check_fuel(fuel: int) -> None:
+    # the one fuel rule: an integer, or a TypeError, and not negative
+    if operator.index(fuel) < 0:
+        raise ValueError(f"negative fuel: {fuel}")
+
+
+def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
     """Peel at most ``fuel`` steps off ``d``.
 
     Returns ``Converged(value, steps)`` with the exact number of steps peeled,
@@ -125,8 +120,7 @@ def run_fuel(d: Delay, fuel: int) -> Converged | _Timeout:
     Negative fuel is a ``ValueError``, and fuel that is not an integer a
     ``TypeError``.
     """
-    if operator.index(fuel) < 0:
-        raise ValueError(f"negative fuel: {fuel}")
+    _check_fuel(fuel)
     steps = 0
     while type(d := d._next()) is not Now:
         if steps == fuel:

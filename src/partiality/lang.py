@@ -44,12 +44,11 @@ accounts converge to the same observable value, whatever their step counts.
 
 from __future__ import annotations
 
-import operator
 import random
 from typing import Any
 
-from ._record import Record
-from .delay import TIMEOUT, Converged, Delay, Now, _Timeout
+from ._record import Marker, Record
+from .delay import TIMEOUT, Converged, Delay, Now, _check_fuel
 from .seq import Verdict
 
 
@@ -113,17 +112,7 @@ class Closure(Record):
     __slots__ = ("body", "env")
 
 
-class _Stuck:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "STUCK"
-
-    def __reduce__(self) -> str:
-        return "STUCK"  # copies and unpickles as the module's one instance
-
-
-STUCK = _Stuck()
+STUCK = Marker("STUCK", __name__)
 
 
 def render_value(v) -> str:
@@ -308,17 +297,16 @@ def execute(code: tuple) -> Delay:
     return _Call(code, (), ([], []))
 
 
-def run_code(code: tuple, fuel: int) -> "Converged | _Timeout":
+def run_code(code: tuple, fuel: int) -> "Converged | Marker":
     """``run_fuel(execute(code), fuel)``, computed in one loop that builds
     no step node on the way."""
     return _spend(_run, code, ([], []), fuel)
 
 
-def _spend(loop, start, machine, fuel: int) -> "Converged | _Timeout":
+def _spend(loop, start, machine, fuel: int) -> "Converged | Marker":
     # a back end's loop with the whole fuel as its budget; a loop that stops
     # at a step node, or ends with ``Now``, has spent all of it
-    if operator.index(fuel) < 0:
-        raise ValueError(f"negative fuel: {fuel}")
+    _check_fuel(fuel)
     ob = loop(start, (), machine, fuel)
     if isinstance(ob, _Call):
         return TIMEOUT
@@ -334,7 +322,7 @@ def evaluate(t) -> Delay:
     return _Eval(t, (), [])
 
 
-def run(t, fuel: int) -> "Converged | _Timeout":
+def run(t, fuel: int) -> "Converged | Marker":
     """``run_fuel(evaluate(t), fuel)``, computed in one loop that builds
     no step node on the way."""
     return _spend(_eval, t, [], fuel)

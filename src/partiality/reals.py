@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable
 
+from .delay import _check_fuel
 from .seq import Done, PENDING, Seq
 
 Rational = Fraction
@@ -71,9 +72,9 @@ def is_cauchy_prefix(f: Real, n: int) -> bool:
 
 
 def equiv_within(f: Real, g: Real, fuel: int) -> bool:
-    """Check the same-real criterion at every index up to ``fuel``, which must be >= 0."""
-    if fuel < 0:
-        raise ValueError(f"negative fuel: {fuel}")
+    """Check the same-real criterion at every index up to ``fuel``, which is
+    checked first, as ``run_fuel`` checks it."""
+    _check_fuel(fuel)
     for n in range(fuel + 1):
         p, q = (f(n) - g(n)).as_integer_ratio()
         if abs(n * p) > 2 * q:

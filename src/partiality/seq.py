@@ -40,21 +40,11 @@ from math import inf, isqrt
 from typing import Any, Callable, Iterator, Optional
 
 from . import delay as D
-from ._record import Record
-from .delay import Delay, Now
+from ._record import Marker, Record
+from .delay import Delay, Now, _check_fuel
 
 
-class _Pending:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "PENDING"
-
-    def __reduce__(self) -> str:
-        return "PENDING"  # copies and unpickles as the module's one instance
-
-
-PENDING = _Pending()
+PENDING = Marker("PENDING", __name__)
 
 
 class Done(Record):
@@ -122,8 +112,9 @@ class Seq:
     sequence and drops the producer; stopping before one is an error.  Only
     the count of cells pulled and the first done cell with its index are
     kept; failures, ``MonotonicityError`` and a failing factory included, are
-    cached and re-raised.  ``_src`` is the source until the first pull, then
-    the producer, then ``None`` once the sequence is complete.
+    cached and re-raised with the traceback they first had.  ``_src`` is the
+    source until the first pull, then the producer, then ``None`` once the
+    sequence is complete.
     """
 
     __slots__ = ("_src", "_scanned", "_done", "_done_at", "_error")
@@ -133,7 +124,7 @@ class Seq:
         self._scanned = 0
         self._done = None
         self._done_at = inf
-        self._error: Optional[Exception] = None
+        self._error: Optional[tuple] = None  # (exception, its first traceback)
 
     def at(self, n: int):
         """The cell at index ``n`` (``Done(value)`` or ``PENDING``)."""
@@ -150,7 +141,8 @@ class Seq:
         # when `stop_at_done` holds.  A failure in the producer or in the
         # factory that makes it is cached and re-raised on any further pull.
         if self._error is not None:
-            raise self._error
+            err, tb = self._error
+            raise err.with_traceback(tb)
         k = self._scanned
         done = self._done
         try:
@@ -176,12 +168,13 @@ class Seq:
                 k += 1
         except StopIteration:
             if done is None:
-                self._error = RuntimeError("sequence producer is not total")
-                raise self._error from None
+                err = RuntimeError("sequence producer is not total")
+                self._error = err, None
+                raise err from None
             k = inf  # done is final: every later cell is the done one
             self._src = None
         except Exception as err:
-            self._error = err
+            self._error = err, err.__traceback__
             raise
         finally:
             self._scanned = k
@@ -282,8 +275,7 @@ def converges_within(s: Seq, fuel: int) -> Optional[Witness]:
     convergence index.  Negative fuel is a ``ValueError``, and fuel that is
     not an integer a ``TypeError``.
     """
-    if operator.index(fuel) < 0:
-        raise ValueError(f"negative fuel: {fuel}")
+    _check_fuel(fuel)
     if s._done is None and s._scanned <= fuel:
         s._pull(fuel, True)
     return Witness(s._done.value, s._done_at) if s._done_at <= fuel else None
@@ -344,8 +336,7 @@ def leq_within(s: Seq, t: Seq, fuel: int) -> Verdict:
     * ``UNKNOWN`` otherwise; in particular a converged left against a silent
       right stays unknown forever, since divergence cannot be confirmed.
     """
-    if operator.index(fuel) < 0:
-        raise ValueError(f"negative fuel: {fuel}")
+    _check_fuel(fuel)
     if s is t or s is _BOTTOM:
         return Verdict.TRUE
     ws = converges_within(s, fuel)

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -18,6 +19,19 @@ def test_streams_memoize_their_tails():
     assert cpo.stream_prefix(xs, 4) == [0, 1, 2, 3]
     cpo.stream_prefix(xs, 4)
     assert calls == [0, 1, 2]
+
+
+def test_a_forced_tail_frees_what_its_thunk_captured():
+    class Held:
+        pass
+
+    held = Held()
+    ref = weakref.ref(held)
+    xs = cpo.Stream(0, lambda held=held: cpo.stream_iterate(1, lambda x: x + 1))
+    del held
+    assert ref() is not None  # the thunk holds it until the tail is forced
+    assert xs.tail.head == 1 and xs.tail is xs.tail
+    assert ref() is None
 
 
 def test_iterate_unrolls_from_undefined():

@@ -328,3 +328,15 @@ def test_compile_lists_a_deep_program():
 def test_deep_search_runs_without_a_traceback():
     argv = ["search", "ge:1100", "0", "--fuel", "1000000"]
     assert run_main_or_overflow(argv) == (0, f"found 1100 index={1101 * 1102 // 2}\n", "")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: unshift reads through one from_fn cell per level")
+def test_deep_unshift_answers_without_a_traceback():
+    s = seq.unit(7)
+    for _ in range(1000):
+        s = seq.unshift(seq.shift(s))
+    try:
+        w = seq.converges_within(s, 0)
+    except RecursionError:
+        w = "RecursionError"
+    assert w == seq.Witness(7, 0)

@@ -224,6 +224,17 @@ def test_equiv_rejects_negative_fuel():
         reals.equiv_within(reals.const_real(1), reals.const_real(1), -1)
 
 
+def test_equiv_checks_fuel_as_run_fuel_does_before_any_query():
+    def f(n):
+        raise AssertionError("queried")
+
+    for fuel in (-1.5, 2.0):
+        with pytest.raises(TypeError):
+            reals.equiv_within(f, f, fuel)
+    with pytest.raises(ValueError, match=r"^negative fuel: -1$"):
+        reals.equiv_within(f, f, -1)
+
+
 def test_float_and_int_valued_reals():
     half = seq.converges_within(reals.is_positive(lambda n: 0.5), 10)
     assert half == Witness(1, 5)

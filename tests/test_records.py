@@ -169,9 +169,13 @@ def test_a_record_round_trips_through_copy_and_pickle(x):
         assert hash(y) == hash(x) and repr(y) == repr(x)
 
 
-@pytest.mark.parametrize("x", [L.STUCK, seq.PENDING, D.TIMEOUT], ids=repr)
-def test_a_singleton_is_itself_after_copy_and_pickle(x):
-    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+@pytest.mark.parametrize(
+    "x, name", [(L.STUCK, "STUCK"), (seq.PENDING, "PENDING"), (D.TIMEOUT, "TIMEOUT")], ids=["STUCK", "PENDING", "TIMEOUT"]
+)
+def test_a_singleton_is_itself_after_copy_and_pickle(x, name):
+    assert repr(x) == name
+    pickled = [pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in (copy.copy(x), copy.deepcopy(x), *pickled):
         assert y is x
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import traceback
 import tracemalloc
 
 import pytest
@@ -130,6 +131,60 @@ def test_non_monotone_producer_raises_at_its_index(cells, first):
     assert s.at(2) == cells[2]
     assert seq.ismon_prefix(seq.Seq(produce), 3)
     assert not seq.ismon_prefix(seq.Seq(produce), 4)
+
+
+def _boom(n):
+    raise KeyError("boom")
+
+
+def _non_monotone():
+    yield from (PENDING, Done(1), Done(2))
+
+
+@pytest.mark.parametrize(
+    "s, error",
+    [
+        (lambda: seq.from_fn(_boom), KeyError),
+        (lambda: seq.Seq(_non_monotone), seq.MonotonicityError),
+        (lambda: seq.Seq(lambda: iter([PENDING])), RuntimeError),
+        (lambda: seq.lub(lambda i: seq.unit(i % 2)), ChainViolationError),
+    ],
+    ids=["producer", "monotonicity", "not-total", "chain-violation"],
+)
+def test_a_failure_is_reraised_with_the_traceback_it_first_had(s, error):
+    # each raise adds its frames to the exception's traceback; a re-raise
+    # that started from the last one would grow it on every query
+    s = s()
+    errors, lengths = [], []
+    for _ in range(6):
+        with pytest.raises(error) as raised:
+            s.at(5)
+        errors.append(raised.value)
+        lengths.append(len(traceback.extract_tb(raised.value.__traceback__)))
+    assert all(err is errors[0] for err in errors)
+    assert len(set(lengths[1:])) == 1 and lengths[1] <= lengths[0] + 1, lengths
+
+
+def test_a_failure_keeps_no_more_memory_as_it_is_reraised():
+    s = seq.from_fn(_boom)
+
+    def requery(times):
+        for _ in range(times):
+            try:
+                s.at(0)
+            except KeyError:
+                pass
+
+    requery(10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        requery(10_000)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 20_000, kept  # a traceback that grew on each re-raise kept 6 MB
 
 
 def test_a_producer_may_yield_a_run_of_pending_cells():
