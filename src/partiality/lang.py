@@ -76,8 +76,6 @@ class Suc(Record):
     __slots__ = ("arg",)
 
 
-Term = "Var | Lam | App | Lit | Suc"
-
 # (\x. x x) (\x. x x): one beta per step, forever
 OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
 
@@ -115,9 +113,32 @@ class Closure(Record):
 STUCK = Marker("STUCK", __name__)
 
 
+# Python converts an int to or from text of at most 4 300 digits by default,
+# so a natural goes through text a chunk of _DIGITS digits at a time.
+_DIGITS = 4000
+_CHUNK = 10**_DIGITS
+
+
+def _nat_text(n: int) -> str:
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(str(r).zfill(_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _read_nat(text: str) -> int:
+    head = len(text) % _DIGITS or _DIGITS
+    n = int(text[:head])
+    for i in range(head, len(text), _DIGITS):
+        n = n * _CHUNK + int(text[i : i + _DIGITS])
+    return n
+
+
 def render_value(v) -> str:
     if isinstance(v, Nat):
-        return str(v.n)
+        return _nat_text(v.n)
     if v is STUCK:
         return "stuck"
     return "<closure>"
@@ -211,7 +232,7 @@ def disassemble(code: tuple) -> list[str]:
                 indent, rest = indent + "  ", iter(ins.code)
                 break
             if isinstance(ins, PushLit):
-                lines.append(f"{indent}pushlit {ins.n}")
+                lines.append(f"{indent}pushlit {_nat_text(ins.n)}")
             elif isinstance(ins, PushVar):
                 lines.append(f"{indent}pushvar {ins.index}")
             else:
@@ -480,7 +501,7 @@ def parse(src: str):
                 raise LangError(f"unbound variable {text!r}", pos)
             item = Var(depth - 1 - binders[-1])
         elif kind == "nat":
-            item = Lit(int(text))
+            item = Lit(_read_nat(text))
         elif kind == "(":
             frames.append(("(", head, sucs))
             head, sucs = None, 0
@@ -542,7 +563,7 @@ def show(t) -> str:
                 out.append(fresh(depth - 1 - t.index) if t.index < depth else f"#{t.index}")
                 break
             if ty is Lit:
-                out.append(str(t.n))
+                out.append(_nat_text(t.n))
                 break
             if prec > (0 if ty is Lam else 1):
                 out.append("(")

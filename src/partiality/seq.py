@@ -17,19 +17,21 @@ return three-valued ``Verdict``s relative to a fuel bound.  ``TRUE`` and
 
 Everything in between is ``UNKNOWN``, which more fuel may still resolve.
 
-Evaluation is lazy.  By monotonicity a scanned prefix is described by the
-number of cells pulled and the first done cell, all a ``Seq`` keeps, so its
-memory is O(1).  ``unit``, ``bottom``, ``shift`` and ``bind`` build ``Delay``
-graphs, whose nesting costs no Python frames.  ``bottom()`` is one sequence,
-a finished scan with no done cell, so no index makes it pull; it absorbs
-(``⊥ >>= f = ⊥``): ``shift``, ``unshift`` and ``bind`` return it as it is.
-A producer yields cells in index order and may stop right after its first
-done cell, since every later cell is that one; it may not stop before one.
-Before that cell it may yield a positive ``int`` r for r pending cells in a
-row, so a run of them costs one step; after it, an ``int`` is not monotone.
-A non-monotone producer raises ``MonotonicityError`` at the offending index.
-Fuel and indices must be integers, or it is a ``TypeError``.  Use from a
-single thread.
+Evaluation is lazy, but ``unshift`` takes its argument's first step when
+called.  By monotonicity a scanned prefix is described by the number of cells
+pulled and the first done cell, all a ``Seq`` keeps, so its memory is O(1).
+Every constructor and combinator but ``lub`` builds a ``Delay`` graph, whose
+nesting costs no Python frames, though a scan keeps the nodes of a source the
+caller holds unscanned; ``lub`` and ``reals.is_positive`` are the only
+producers.  ``bottom()`` is one sequence, a finished scan with no done cell,
+so no index makes it pull; it absorbs (``⊥ >>= f = ⊥``): ``shift``,
+``unshift`` and ``bind`` return it as it is.  A producer yields cells in index
+order and may stop right after its first done cell, since every later cell is
+that one; it may not stop before one.  Before that cell it may yield a
+positive ``int`` r for r pending cells in a row, so a run of them costs one
+step; after it, an ``int`` is not monotone.  A non-monotone producer raises
+``MonotonicityError`` at the offending index.  Fuel and indices must be
+integers, or it is a ``TypeError``.  Use from a single thread.
 """
 
 from __future__ import annotations
@@ -199,21 +201,15 @@ def bottom() -> Seq:
 
 
 def from_fn(fn: Callable[[int], Any]) -> Seq:
-    """Wrap an arbitrary index function into a monotone sequence.
+    """Wrap an arbitrary index function into a monotone sequence: a ``Delay``
+    step chain, a node per pending index and ``Now(value)`` at the first done
+    one, so ``fn`` is called at 0, 1, ... in order and not past that index."""
 
-    ``fn`` is called at indices 0, 1, ... in order.  The first done value it
-    yields wins and persists, and ``fn`` is not called past that index, so
-    later disagreeing cells never show.
-    """
+    def step(n: int) -> "Now | Delay":
+        p = fn(n)
+        return Delay(lambda: step(n + 1)) if p is PENDING else Now(p.value)
 
-    def produce():
-        n = 0
-        while (p := fn(n)) is PENDING:
-            yield PENDING
-            n += 1
-        yield Done(p.value)
-
-    return Seq(produce)
+    return Seq(Delay(lambda: step(0)))
 
 
 def shift(s: Seq) -> Seq:
@@ -221,7 +217,12 @@ def shift(s: Seq) -> Seq:
 
 
 def unshift(s: Seq) -> Seq:
-    return s if s is _BOTTOM else from_fn(lambda n: s.at(n + 1))
+    """``s`` one step sooner: the first step of ``to_delay(s)``, taken now.
+    If it is ``Now``, ``s`` is done everywhere and is its own answer."""
+    if s is _BOTTOM:
+        return s
+    step = to_delay(s)._next()
+    return s if type(step) is Now else Seq(step)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +248,9 @@ def of_delay(d: Delay) -> Seq:
 
 
 def to_delay(s: Seq) -> Delay:
-    """The delayed view of a sequence: one step per pending cell.
-
-    While ``s`` is unscanned, that is the ``Delay`` behind it."""
-    if isinstance(s._src, Delay):
-        return s._src
-
-    def step(i: int) -> "Now | Delay":
-        p = s.at(i)
-        if p is PENDING:
-            return Delay(lambda: step(i + 1))
-        return Now(p.value)
-
-    return Delay(lambda: step(0))
+    """The delayed view of a sequence, one step per pending cell: the
+    ``Delay`` behind ``s`` while it is unscanned, else ``from_fn`` over ``s.at``."""
+    return s._src if isinstance(s._src, Delay) else to_delay(from_fn(s.at))
 
 
 # ---------------------------------------------------------------------------

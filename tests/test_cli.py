@@ -57,6 +57,12 @@ def test_vm_agrees_with_run(capsys):
     assert (c1, o1) == (c2, o2) == (0, "now 3 steps=3\n")
 
 
+@pytest.mark.parametrize("command", ["run", "vm"])
+def test_big_naturals_print_in_full(capsys, command):
+    # past 4 300 digits, Python's int-to-text conversion raises by default
+    assert run_cli(capsys, command, "suc " + "9" * 4300) == (0, "now 1" + "0" * 4300 + " steps=0\n", "")
+
+
 def test_compile_listing(capsys):
     code, out, _ = run_cli(capsys, "compile", r"(\x. suc x) 1")
     assert code == 0

@@ -330,11 +330,27 @@ def test_deep_search_runs_without_a_traceback():
     assert run_main_or_overflow(argv) == (0, f"found 1100 index={1101 * 1102 // 2}\n", "")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: unshift reads through one from_fn cell per level")
-def test_deep_unshift_answers_without_a_traceback():
-    s = seq.unit(7)
-    for _ in range(1000):
+def _unshift_shift(s, n):
+    for _ in range(n):
         s = seq.unshift(seq.shift(s))
+    return s
+
+
+def _unshifts_over_shifts(s, n):
+    for _ in range(n):
+        s = seq.shift(s)
+    for _ in range(n):
+        s = seq.unshift(s)
+    return s
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(_unshift_shift, 1000), (_unshift_shift, 10**5), (_unshifts_over_shifts, 10**5)],
+    ids=["nested-1000", "nested-1e5", "unshifts-over-shifts-1e5"],
+)
+def test_deep_unshift_answers_without_a_traceback(build, n):
+    s = build(seq.unit(7), n)
     try:
         w = seq.converges_within(s, 0)
     except RecursionError:

@@ -116,6 +116,27 @@ def test_numerals_are_decimal_digits():
     assert parse("١٢") == Lit(12)  # Arabic-Indic one, two
 
 
+# Python stops converting an int to or from text past 4 300 digits, so these
+# values are built arithmetically: int("9" * 5000) itself raises
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (10**4300 - 1, "9" * 4300),
+        (10**4301 - 1, "9" * 4301),
+        (10**5000, "1" + "0" * 5000),  # chunks of zeros
+        (7 * 10**8000 + 3, "7" + "0" * 7999 + "3"),  # a chunk that needs its leading zeros
+    ],
+    ids=["4300-nines", "4301-nines", "ten-to-5000", "padded-chunk"],
+)
+def test_big_naturals_parse_show_list_and_render(n, text):
+    t = parse(text)
+    assert t == Lit(n)
+    assert show(t) == text
+    assert lang.disassemble(lang.compile_term(t)) == ["pushlit " + text]
+    assert lang.render_value(run(t).value) == text
+    assert parse("0" * 5000 + text) == t  # leading zeros count as digits too
+
+
 def test_show_prints_a_free_index():
     assert show(Var(3)) == "#3"
 

@@ -94,16 +94,61 @@ def test_producer_that_stops_before_a_done_cell_is_an_error():
     assert again.value is raised.value
 
 
-@pytest.mark.parametrize("wrap", [lambda s: s, seq.unshift], ids=["from_fn", "unshift"])
-def test_from_fn_does_not_call_fn_past_the_done_index(wrap):
+@pytest.mark.parametrize("wrap, before", [(lambda s: s, []), (seq.unshift, [0])], ids=["from_fn", "unshift"])
+def test_from_fn_does_not_call_fn_past_the_done_index(wrap, before):
     calls = []
 
     def fn(n):
         calls.append(n)
         return Done(n) if n >= 3 else PENDING
 
-    assert wrap(seq.from_fn(fn)).at(50) == Done(3)
+    s = wrap(seq.from_fn(fn))
+    assert calls == before  # unshift takes its argument's first step when called
+    assert s.at(50) == Done(3)
     assert calls == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "make, index",
+    [
+        (lambda: seq.from_fn(lambda n: Done(7) if n >= 3005 else PENDING), 3005),
+        # member 80 is the first done one, met at its cell (80, 0)
+        (lambda: seq.lub(lambda i: seq.unit(7) if i >= 80 else seq.bottom()), seq.cantor_pair(80, 0)),
+    ],
+    ids=["from_fn", "lub"],
+)
+def test_unshift_moves_the_witness_down_one_index_a_level(make, index):
+    assert seq.converges_within(make(), 10**4) == Witness(7, index)
+    s = make()
+    for _ in range(3000):
+        s = seq.unshift(s)
+    assert seq.converges_within(s, 10**4) == Witness(7, index - 3000)
+
+
+def test_unshift_of_shift_reads_the_graph_it_was_given():
+    s = seq.of_delay(D.map(D.later(D.now(4)), str))  # unscanned: backed by its Delay
+    assert seq.to_delay(seq.unshift(seq.shift(s))) is seq.to_delay(s)
+
+
+def _complete(s):
+    s.at(3)
+    return s
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: seq.unit(3),
+        lambda: _complete(seq.unit(3)),
+        lambda: seq.of_delay(D.map(D.now(1), str)),
+        lambda: seq.from_fn(lambda n: Done(1)),
+        lambda: seq.lub(lambda i: seq.unit(2)),
+    ],
+    ids=["unit", "scanned-unit", "bind", "from_fn", "lub"],
+)
+def test_unshift_of_a_sequence_done_at_index_0_is_itself(make):
+    s = make()
+    assert seq.unshift(s) is s
 
 
 @pytest.mark.parametrize(
@@ -310,6 +355,34 @@ def test_scan_over_a_live_bottom_keeps_memory_flat():
         tracemalloc.start()
         try:
             seq.converges_within(seq.shift(s), fuel)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert peak(10**4) < 2 * peak(10**3) + 4096
+
+
+def _never_str():
+    return seq.map(seq.of_delay(D.never()), str)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 3: a graph built on a held, unscanned source keeps the nodes its scan passes",
+)
+@pytest.mark.parametrize(
+    "source, build",
+    [(_never_str, seq.shift), (_never_str, seq.unshift), (lambda: seq.from_fn(lambda n: PENDING), seq.shift)],
+    ids=["shift", "unshift", "shift-from_fn"],
+)
+def test_scan_over_a_held_source_keeps_memory_flat(source, build):
+    def peak(fuel):
+        s = source()  # held through the scan
+        gc.collect()
+        tracemalloc.start()
+        try:
+            seq.converges_within(build(s), fuel)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
