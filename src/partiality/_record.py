@@ -1,5 +1,7 @@
-"""Immutable records, a frozen dataclass's semantics built cheaper, and markers."""
+"""Immutable records, a frozen dataclass's semantics built cheaper, markers,
+and integers read from and written as decimal text of any length."""
 
+import re
 from _thread import get_ident
 
 _shown = set()  # (id, thread) of each record whose repr is being built
@@ -85,3 +87,35 @@ class Marker:
 
     def __reduce__(self) -> str:
         return self._name
+
+
+# Python converts an int to or from decimal text of at most 4 300 digits by
+# default, so a longer one goes through text a chunk of _DIGITS digits at a time.
+_DIGITS = 4000
+_CHUNK = 10**_DIGITS
+_INT = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")  # the decimal text `int` reads
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, for an int of any size."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(str(r).zfill(_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _read_int(text: str) -> int:
+    """``int(text)``, for decimal text of any length; text that is not
+    decimal goes to ``int``, which raises its own error."""
+    if len(text) <= _DIGITS or (m := _INT.fullmatch(text)) is None:
+        return int(text)
+    sign, digits = m[1], m[2].replace("_", "")
+    head = len(digits) % _DIGITS or _DIGITS
+    n = int(digits[:head])
+    for i in range(head, len(digits), _DIGITS):
+        n = n * _CHUNK + int(digits[i : i + _DIGITS])
+    return -n if sign == "-" else n

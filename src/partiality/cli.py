@@ -19,6 +19,7 @@ import sys
 from typing import Callable
 
 from . import cpo, delay, lang, reals, seq
+from ._record import _int_text, _read_int
 from .delay import TIMEOUT
 from .seq import ChainViolationError, Verdict
 
@@ -105,19 +106,19 @@ def _parse_pred(text: str) -> Callable[[int], bool]:
         return _PREDS[name](0)
     if not rest:
         raise ValueError(f"predicate {name!r} needs an argument, e.g. {name}:10")
-    return _PREDS[name](int(rest))
+    return _PREDS[name](_read_int(rest))
 
 
 def _parse_stream(text: str) -> cpo.Stream:
     start, _, step = text.partition(":")
-    a, d = int(start), int(step) if step else 1
+    a, d = _read_int(start), _read_int(step) if step else 1
     return cpo.stream_iterate(a, lambda x: x + d)
 
 
 def cmd_search(args) -> int:
     q = _parse_pred(args.predicate)
     xs = _parse_stream(args.stream)
-    return _report_witness(cpo.search(q, xs), args.fuel, "found {}".format)
+    return _report_witness(cpo.search(q, xs), args.fuel, lambda v: f"found {_int_text(v)}")
 
 
 # ---------------------------------------------------------------------------

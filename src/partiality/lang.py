@@ -47,7 +47,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from ._record import Marker, Record
+from ._record import Marker, Record, _int_text, _read_int
 from .delay import TIMEOUT, Converged, Delay, Now, _check_fuel
 from .seq import Verdict
 
@@ -113,32 +113,9 @@ class Closure(Record):
 STUCK = Marker("STUCK", __name__)
 
 
-# Python converts an int to or from text of at most 4 300 digits by default,
-# so a natural goes through text a chunk of _DIGITS digits at a time.
-_DIGITS = 4000
-_CHUNK = 10**_DIGITS
-
-
-def _nat_text(n: int) -> str:
-    chunks = []
-    while n >= _CHUNK:
-        n, r = divmod(n, _CHUNK)
-        chunks.append(str(r).zfill(_DIGITS))
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
-
-
-def _read_nat(text: str) -> int:
-    head = len(text) % _DIGITS or _DIGITS
-    n = int(text[:head])
-    for i in range(head, len(text), _DIGITS):
-        n = n * _CHUNK + int(text[i : i + _DIGITS])
-    return n
-
-
 def render_value(v) -> str:
     if isinstance(v, Nat):
-        return _nat_text(v.n)
+        return _int_text(v.n)
     if v is STUCK:
         return "stuck"
     return "<closure>"
@@ -232,7 +209,7 @@ def disassemble(code: tuple) -> list[str]:
                 indent, rest = indent + "  ", iter(ins.code)
                 break
             if isinstance(ins, PushLit):
-                lines.append(f"{indent}pushlit {_nat_text(ins.n)}")
+                lines.append(f"{indent}pushlit {_int_text(ins.n)}")
             elif isinstance(ins, PushVar):
                 lines.append(f"{indent}pushvar {ins.index}")
             else:
@@ -501,7 +478,7 @@ def parse(src: str):
                 raise LangError(f"unbound variable {text!r}", pos)
             item = Var(depth - 1 - binders[-1])
         elif kind == "nat":
-            item = Lit(_read_nat(text))
+            item = Lit(_read_int(text))
         elif kind == "(":
             frames.append(("(", head, sucs))
             head, sucs = None, 0
@@ -563,7 +540,7 @@ def show(t) -> str:
                 out.append(fresh(depth - 1 - t.index) if t.index < depth else f"#{t.index}")
                 break
             if ty is Lit:
-                out.append(_nat_text(t.n))
+                out.append(_int_text(t.n))
                 break
             if prec > (0 if ty is Lam else 1):
                 out.append("(")

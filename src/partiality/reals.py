@@ -9,7 +9,10 @@ never be told apart from a small-enough nonzero by finitely many queries.
 ``is_positive`` returns the verdict as a monotone sequence of bits — done
 with 1 from the first index that certifies positivity, done with 0 from the
 first that certifies non-positivity, pending forever on zero — so all the
-fuel-bounded machinery applies unchanged.
+fuel-bounded machinery applies unchanged.  Its producer asks each pull how
+far it goes and answers the whole pull in one loop of queries, reported as
+one run of pending cells, so a scan costs a query per cell and a generator
+resume per pull.
 
 Bounds are decided on integers, from each value's ``as_integer_ratio()``, so a
 real may return any exact-ratio number: ``int``, ``Fraction`` or ``float``.
@@ -19,11 +22,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import count
 from typing import Callable
 
+from ._record import _read_int
 from .delay import _check_fuel
-from .seq import Done, PENDING, Seq
+from .seq import Done, Seq, _WANT
 
 Rational = Fraction
 
@@ -37,16 +40,29 @@ def is_positive(f: Real) -> Seq:
     until the first ``n`` with ``|n * p| > 2 * q``, where the settling rate
     pins the sign of the limit.  From there every cell is ``Done(1)``
     (positive) or ``Done(0)`` (negative) and ``f`` is not queried again.
-    For the zero real every index is pending.
+    For the zero real every index is pending.  One loop answers a whole
+    pull: it queries each index the pull needs, in order, and reports the
+    pending ones as one run.  A query that raises leaves the cells before
+    it scanned, and the error is raised on the next resume.
     """
     def produce():
-        yield PENDING
-        for n in count(1):
-            p, q = f(n).as_integer_ratio()
-            if abs(n * p) > 2 * q:
-                yield Done(int(p > 0))
-                return
-            yield PENDING
+        k = 0  # the next cell to report; cell 0 needs no query
+        while True:
+            n = yield _WANT  # the last index this pull needs
+            try:
+                for m in range(k or 1, n + 1):
+                    p, q = f(m).as_integer_ratio()
+                    if abs(m * p) > 2 * q:
+                        if m > k:
+                            yield m - k
+                        yield Done(int(p > 0))
+                        return
+            except Exception:
+                if m > k:
+                    yield m - k
+                raise
+            yield n + 1 - k
+            k = n + 1
 
     return Seq(produce)
 
@@ -94,10 +110,11 @@ def parse_rational(text: str) -> Rational:
     m = _RAT.match(text)
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
-    num = int(m.group(1))
+    num = _read_int(m.group(1))
     den = m.group(2)
     if den is None:
         return Fraction(num)
-    if int(den) == 0:
+    den = _read_int(den)
+    if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, int(den))
+    return Fraction(num, den)

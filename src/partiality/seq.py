@@ -29,9 +29,14 @@ so no index makes it pull; it absorbs (``⊥ >>= f = ⊥``): ``shift``,
 order and may stop right after its first done cell, since every later cell is
 that one; it may not stop before one.  Before that cell it may yield a
 positive ``int`` r for r pending cells in a row, so a run of them costs one
-step; after it, an ``int`` is not monotone.  A non-monotone producer raises
-``MonotonicityError`` at the offending index.  Fuel and indices must be
-integers, or it is a ``TypeError``.  Use from a single thread.
+step; after it, an ``int`` is not monotone.  A producer may also ask how far
+the current pull goes, by yielding the private marker ``_WANT``: it is sent
+the last index the pull needs and answers with its next cell or run, so
+``reals.is_positive`` answers a whole pull in one loop.  Every other resume
+is ``next``, so a producer that never asks is never sent anything.  A
+non-monotone producer raises ``MonotonicityError`` at the offending index.
+Fuel and indices must be integers, or it is a ``TypeError``.  Use from a
+single thread.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .delay import Delay, Now, _check_fuel
 
 
 PENDING = Marker("PENDING", __name__)
+_WANT = Marker("_WANT", __name__)  # a producer's ask for the pull's last index
 
 
 class Done(Record):
@@ -109,7 +115,9 @@ class Seq:
     Backed by a ``Delay``, read as ``of_delay`` says, or by a factory for a
     producer that emits cells in index order.  Before its first done cell it
     may emit a positive ``int`` r for a run of r ``PENDING`` cells, which a
-    pull may end inside; a zero or negative ``int`` is a ``ValueError``.  The
+    pull may end inside; a zero or negative ``int`` is a ``ValueError``.  It
+    may emit ``_WANT`` to ask how far the pull goes: it is then sent the
+    pull's last index, and what it yields in return is its next item.  The
     producer may stop right after its first done cell, which completes the
     sequence and drops the producer; stopping before one is an error.  Only
     the count of cells pulled and the first done cell with its index are
@@ -154,6 +162,8 @@ class Seq:
             it = self._src
             while k <= n:
                 p = next(it)
+                if p is _WANT:
+                    p = it.send(n)
                 if done is None:
                     if p is not PENDING:
                         if type(p) is not int:

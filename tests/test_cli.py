@@ -104,6 +104,34 @@ def test_search_found(capsys):
     assert code == 0 and out == "found 2 index=3\n"
 
 
+NINES = "9" * 4400  # past the 4 300 digits Python's int-text conversion allows
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["ispositive", NINES + "/7"], (0, "positive index=1\n", "")),
+        (["ispositive", "-" + NINES + "/1"], (0, "negative index=1\n", "")),
+        (["search", "even", NINES + ":1"], (0, "found 1" + "0" * 4400 + " index=3\n", "")),
+        (["search", "ge:" + NINES, "0", "--fuel", "10"], (2, "unknown fuel=10\n", "")),
+    ],
+)
+def test_big_integer_operands(capsys, argv, answer):
+    assert run_cli(capsys, *argv) == answer
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["search", "eq: +7_0 ", "5:6_5"], "found 70 index=3\n"),
+        (["search", "ge:0", "٠:٣٥"], "found 0 index=1\n"),  # Arabic-Indic digits
+        (["ispositive", "٣/٠٢"], "positive index=2\n"),
+    ],
+)
+def test_integer_operands_are_read_as_int_reads_them(capsys, argv, out):
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
 def test_search_unknown(capsys):
     code, out, _ = run_cli(capsys, "search", "eq:7", "0:2", "--fuel", "300")
     assert code == 2 and out == "unknown fuel=300\n"

@@ -6,6 +6,7 @@ import pytest
 
 from partiality import delay as D
 from partiality import lang, seq
+from partiality._record import _int_text, _read_int
 from partiality.lang import (
     App, Lam, Lit, Nat, STUCK, Suc, Var, OMEGA,
     agree_within, compile_term, evaluate, execute, gen_term, parse, show,
@@ -135,6 +136,19 @@ def test_big_naturals_parse_show_list_and_render(n, text):
     assert lang.disassemble(lang.compile_term(t)) == ["pushlit " + text]
     assert lang.render_value(run(t).value) == text
     assert parse("0" * 5000 + text) == t  # leading zeros count as digits too
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 7, -7, 10**4300 - 1, -(10**5000), -(7 * 10**8000 + 3)],
+    ids=["0", "7", "-7", "4300-nines", "minus-ten-to-5000", "minus-padded-chunk"],
+)
+def test_integers_of_any_size_go_through_text_as_int_and_str_do(n):
+    text = _int_text(n)
+    assert _read_int(text) == n
+    assert _read_int(f" +{text[:9]}_{text[9:]}\n" if n > 10**9 else text) == n  # int's own forms
+    with pytest.raises(ValueError):
+        _read_int(text + "x")
 
 
 def test_show_prints_a_free_index():

@@ -65,7 +65,7 @@ def test_queries_stop_after_latching():
     assert calls == [1, 2, 3]
 
 
-@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("k", [1, 2, 5, 40])  # 40: deep inside one long pull
 def test_a_failing_query_is_made_once_and_cached(k):
     calls = []
 
@@ -187,6 +187,11 @@ def test_is_positive_agrees_with_the_fraction_formula(t):
     expected = [sign_cell_oracle(f, n) for n in range(41)]
     assert prefix(reals.is_positive(counted), 41) == expected
     latch = next((n for n, c in enumerate(expected) if c is not PENDING), 40)
+    assert calls == list(range(1, latch + 1))
+    # one pull of 40 cells makes the same queries and finds the same witness
+    calls.clear()
+    w = seq.converges_within(reals.is_positive(counted), 40)
+    assert w == (None if expected[latch] is PENDING else Witness(expected[latch].value, latch))
     assert calls == list(range(1, latch + 1))
     if t[0] == "boundary":
         k = t[2]

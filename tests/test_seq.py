@@ -240,6 +240,14 @@ def test_a_producer_may_yield_a_run_of_pending_cells():
     assert prefix(s, 7) == [PENDING] * 5 + [Done(1)] * 2
 
 
+def test_a_producer_that_never_asks_is_never_sent_anything():
+    # `yield from` a tuple cannot take `send`
+    def produce():
+        yield from (PENDING, 3, Done(1))
+
+    assert seq.converges_within(seq.Seq(produce), 10) == Witness(1, 4)
+
+
 @pytest.mark.parametrize("run", [0, -2])
 def test_a_run_must_be_positive(run):
     calls = []
