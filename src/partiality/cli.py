@@ -43,7 +43,7 @@ def _parse_term(arg: str):
 
 def _report_run(r, fuel: int) -> int:
     if r is TIMEOUT:
-        print(f"timeout fuel={fuel}")
+        print(f"timeout fuel={_int_text(fuel)}")
         return 2
     if r.value is lang.STUCK:
         print("stuck")
@@ -74,7 +74,7 @@ def cmd_compile(args) -> int:
 def _report_witness(s, fuel: int, show: Callable) -> int:
     w = seq.converges_within(s, fuel)
     if w is None:
-        print(f"unknown fuel={fuel}")
+        print(f"unknown fuel={_int_text(fuel)}")
         return 2
     print(f"{show(w.value)} index={w.index}")
     return 0
@@ -252,7 +252,7 @@ _LAWS = [
 
 def cmd_laws(args) -> int:
     if args.count < 0:
-        raise ValueError(f"negative count: {args.count}")
+        raise ValueError(f"negative count: {_int_text(args.count)}")
     rng = random.Random(args.seed)
     all_ok = True
     for name, law in _LAWS:
@@ -273,6 +273,14 @@ _NEGATIVE_ARG = re.compile(r"^-\d+([/:]-?\d+)?$")
 # ---------------------------------------------------------------------------
 
 
+def _int_arg(text: str) -> int:
+    # an integer option of any length, refused with the message `type=int` gives
+    try:
+        return _read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on a usage error, which here means "out of fuel"
     def error(self, message: str):
@@ -286,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def fuel_opt(sp):
-        sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+        sp.add_argument("--fuel", type=_int_arg, default=DEFAULT_FUEL)
 
     sp = sub.add_parser("run", help="evaluate a program with the interpreter")
     sp.add_argument("program", help="file name or literal program text")
@@ -316,8 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp._negative_number_matcher = _NEGATIVE_ARG  # and `search even -5:3`
 
     sp = sub.add_parser("laws", help="replay the seeded property suites")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=100)
+    sp.add_argument("--seed", type=_int_arg, default=0)
+    sp.add_argument("--count", type=_int_arg, default=100)
     sp.set_defaults(fn=cmd_laws)
 
     return p

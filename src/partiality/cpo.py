@@ -13,7 +13,7 @@ written as the fixed point of its one-step unrolling.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from . import seq
 from .seq import Seq
@@ -61,20 +61,19 @@ def lfp(phi: Callable) -> Callable[[Any], Seq]:
 
 
 class Stream:
-    """An infinite cons stream whose tail, once forced, is kept and its thunk dropped."""
+    """An infinite cons stream.  ``_tail`` holds the tail's thunk until the
+    tail is forced, then the tail itself, so the thunk is dropped."""
 
-    __slots__ = ("head", "_tail_thunk", "_tail")
+    __slots__ = ("head", "_tail")
 
     def __init__(self, head: Any, tail_thunk: Callable[[], "Stream"]):
         self.head = head
-        self._tail_thunk = tail_thunk
-        self._tail: Optional[Stream] = None
+        self._tail: "Stream | Callable[[], Stream]" = tail_thunk
 
     @property
     def tail(self) -> "Stream":
-        if self._tail is None:
-            self._tail = self._tail_thunk()
-            self._tail_thunk = None
+        if not isinstance(self._tail, Stream):
+            self._tail = self._tail()
         return self._tail
 
 

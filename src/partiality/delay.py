@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable
 
-from ._record import Marker, Record
+from ._record import Marker, Record, _int_text
 
 
 class Delay:
@@ -107,8 +107,8 @@ _NEVER._step = _NEVER  # its step is itself
 
 def _check_fuel(fuel: int) -> None:
     # the one fuel rule: an integer, or a TypeError, and not negative
-    if operator.index(fuel) < 0:
-        raise ValueError(f"negative fuel: {fuel}")
+    if (n := operator.index(fuel)) < 0:
+        raise ValueError(f"negative fuel: {_int_text(n)}")
 
 
 def run_fuel(d: Delay, fuel: int) -> Converged | Marker:

@@ -19,7 +19,8 @@ Everything in between is ``UNKNOWN``, which more fuel may still resolve.
 
 Evaluation is lazy, but ``unshift`` takes its argument's first step when
 called.  By monotonicity a scanned prefix is described by the number of cells
-pulled and the first done cell, all a ``Seq`` keeps, so its memory is O(1).
+pulled and the first done cell, all a ``Seq`` keeps beside its source (the
+producer once pulled, the failure once a pull fails), so its memory is O(1).
 Every constructor and combinator but ``lub`` builds a ``Delay`` graph, whose
 nesting costs no Python frames, though a scan keeps the nodes of a source the
 caller holds unscanned; ``lub`` and ``reals.is_positive`` are the only
@@ -109,6 +110,11 @@ class MonotonicityError(ValueError):
         )
 
 
+class _Failure(Record):
+    # a failed pull's exception and its first traceback, as a Seq's last source
+    __slots__ = ("error", "traceback")
+
+
 class Seq:
     """A lazily produced sequence of progress cells.
 
@@ -124,17 +130,16 @@ class Seq:
     kept; failures, ``MonotonicityError`` and a failing factory included, are
     cached and re-raised with the traceback they first had.  ``_src`` is the
     source until the first pull, then the producer, then ``None`` once the
-    sequence is complete.
+    sequence is complete, or the failure once a pull has failed.
     """
 
-    __slots__ = ("_src", "_scanned", "_done", "_done_at", "_error")
+    __slots__ = ("_src", "_scanned", "_done", "_done_at")
 
     def __init__(self, src: "Delay | Callable[[], Iterator]"):
         self._src = src
         self._scanned = 0
         self._done = None
         self._done_at = inf
-        self._error: Optional[tuple] = None  # (exception, its first traceback)
 
     def at(self, n: int):
         """The cell at index ``n`` (``Done(value)`` or ``PENDING``)."""
@@ -150,9 +155,8 @@ class Seq:
         # Pulls cells through index `n`, or only up to the first done cell
         # when `stop_at_done` holds.  A failure in the producer or in the
         # factory that makes it is cached and re-raised on any further pull.
-        if self._error is not None:
-            err, tb = self._error
-            raise err.with_traceback(tb)
+        if type(self._src) is _Failure:
+            raise self._src.error.with_traceback(self._src.traceback)
         k = self._scanned
         done = self._done
         try:
@@ -181,12 +185,12 @@ class Seq:
         except StopIteration:
             if done is None:
                 err = RuntimeError("sequence producer is not total")
-                self._error = err, None
+                self._src = _Failure(err, None)
                 raise err from None
             k = inf  # done is final: every later cell is the done one
             self._src = None
         except Exception as err:
-            self._error = err, err.__traceback__
+            self._src = _Failure(err, err.__traceback__)
             raise
         finally:
             self._scanned = k
@@ -408,11 +412,7 @@ def lub(family: Callable[[int], Seq]) -> Seq:
                 yield i + 1
                 i, j = i + j + 1, 0
                 continue
-            m = members[i]
-            if j < m._scanned:  # a scanned cell, read as `at` reads it, without the call
-                p = m._done if j >= m._done_at else PENDING
-            else:
-                p = m.at(j)
+            p = members[i].at(j)
             if p is not PENDING:
                 if first is None:
                     first = (i, j, p.value)

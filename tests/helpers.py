@@ -1,9 +1,12 @@
-"""Shared randomized generators with known shapes, used as test oracles."""
+"""Shared randomized generators with known shapes, used as test oracles,
+and a CLI call that reports what it printed."""
 
+import contextlib
+import io
 import random
 
+from partiality import cli, seq
 from partiality import delay as D
-from partiality import seq
 
 
 def shift_n(s, k):
@@ -63,3 +66,15 @@ def rand_kleisli(rng: random.Random):
 
 def prefix(s, n):
     return [s.at(i) for i in range(n)]
+
+
+def run_main(argv):
+    """``cli.main(argv)`` as (exit code, stdout, stderr); only argparse's
+    ``SystemExit`` is turned into a code, any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()

@@ -1,15 +1,19 @@
 import argparse
 import gc
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import partiality
-from partiality import cli
+from partiality import cli, lang, seq
 from partiality.cli import main
+from partiality.delay import TIMEOUT
+from helpers import run_main
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +122,44 @@ NINES = "9" * 4400  # past the 4 300 digits Python's int-text conversion allows
 )
 def test_big_integer_operands(capsys, argv, answer):
     assert run_cli(capsys, *argv) == answer
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["ispositive", "1/3", "--fuel", NINES], (0, "positive index=7\n", "")),
+        (["run", "1", "--fuel", NINES], (0, "now 1 steps=0\n", "")),
+        (["vm", "1", "--fuel=" + NINES], (0, "now 1 steps=0\n", "")),
+        (["search", "even", "1:1", "--fuel", NINES], (0, "found 2 index=3\n", "")),
+        (["run", "1", "--fuel", "-" + NINES], (1, "", "error: negative fuel: -" + NINES + "\n")),
+        (["laws", "--count", "-" + NINES], (1, "", "error: negative count: -" + NINES + "\n")),
+    ],
+)
+def test_big_integer_options(capsys, argv, answer):
+    # converging questions only: a silent one would spend all of a huge fuel
+    assert run_cli(capsys, *argv) == answer
+
+
+def test_laws_take_a_big_seed(capsys):
+    first = run_cli(capsys, "laws", "--seed", NINES, "--count", "1")
+    assert first[0] == 0 and first == run_cli(capsys, "laws", "--seed", NINES, "--count", "1")
+
+
+def test_out_of_fuel_reports_print_a_big_fuel_in_full(capsys):
+    fuel = 10**4400
+    assert cli._report_run(TIMEOUT, fuel) == 2 and cli._report_witness(seq.bottom(), fuel, str) == 2
+    assert capsys.readouterr().out == f"timeout fuel=1{'0' * 4400}\nunknown fuel=1{'0' * 4400}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["run", "1", "--fuel", "1.5"], "--fuel"), (["laws", "--seed", "1.5"], "--seed"), (["laws", "--count", "1.5"], "--count")],
+)
+def test_a_non_integer_option_is_refused_as_type_int_refuses_it(capsys, argv, option):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    err = capsys.readouterr().err
+    assert stop.value.code == 1 and err.endswith(f"error: argument {option}: invalid int value: '1.5'\n")
 
 
 @pytest.mark.parametrize(
@@ -256,3 +298,61 @@ def test_module_entry_point_exit_codes(argv, code, out):
     r = subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert (r.returncode, r.stdout) == (code, out)
     assert r.stderr.startswith("error: ") if code == 1 else r.stderr == ""
+
+
+# --- the contract on generated argv --------------------------------------------
+
+_DEEP = 10**4
+
+
+def _mutate(text: str, how: str, at: int, char: str) -> str:
+    cut = at % (len(text) + 1)
+    if how == "truncate":
+        return text[:cut]
+    if how == "stray":
+        return text[:cut] + char + text[cut:]
+    if how == "huge":  # every literal past the 4 300 digits of int-text conversion
+        return re.sub(r"\d+", NINES, text) if re.search(r"\d", text) else f"suc {NINES}"
+    if how == "deep":
+        return "suc (" * _DEEP + text + ")" * _DEEP if at % 2 else "(" * _DEEP + text + " 0)" * _DEEP
+    return text
+
+
+_PROGRAM = st.builds(
+    _mutate,
+    st.builds(lambda seed, size: lang.show(lang.gen_term(seed, size)), st.integers(0, 2**16), st.integers(0, 10)),
+    st.sampled_from(["none", "truncate", "stray", "huge"] * 3 + ["deep"]),  # a deep call takes up to 50 ms
+    st.integers(0, 2**16),
+    st.sampled_from(["(", ")", "\\", ".", "x", "#", "-", "é", "\x00", " ", "9"]),
+)
+_PART = st.sampled_from(["", "0", "3", "-4", NINES, "-" + NINES, "x"])
+_PREDICATE = st.builds(
+    lambda name, part: name if part is None else f"{name}:{part}",
+    st.sampled_from(["even", "odd", "gt", "ge", "lt", "le", "eq", "prime"]),
+    st.one_of(st.none(), _PART),
+)
+_STREAM = st.builds(lambda a, d: a if d is None else f"{a}:{d}", _PART, st.one_of(st.none(), _PART))
+_RATIONAL = st.builds(
+    lambda p, q: p if q is None else f"{p}/{q}", _PART, st.one_of(st.none(), st.sampled_from(["0", "1", "7", NINES, "-3", ""]))
+)
+_FUEL_ARGS = st.one_of(
+    st.just([]),
+    st.sampled_from(["-1", "0", "1", "17", str(10**4)]).map(lambda f: ["--fuel", f]),
+    st.sampled_from(["x", "1.5", "", "1e3"]).map(lambda f: ["--fuel", f]),
+)
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["run", "vm"]), _PROGRAM, _FUEL_ARGS).map(lambda a: [a[0], a[1], *a[2]]),
+    _PROGRAM.map(lambda p: ["compile", p]),
+    st.tuples(_RATIONAL, _FUEL_ARGS).map(lambda a: ["ispositive", a[0], *a[1]]),
+    st.tuples(_PREDICATE, _STREAM, _FUEL_ARGS).map(lambda a: ["search", a[0], a[1], *a[2]]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_ARGV)
+def test_generated_argv_keeps_the_exit_code_contract(argv):
+    # fuel of at most 10**4 keeps every search far from the depth `lfp` reaches
+    code, _, err = first = run_main(argv)  # any exception but argparse's SystemExit fails it
+    assert code in (0, 1, 2, 3)
+    assert err == "" or code == 1
+    assert run_main(argv) == first

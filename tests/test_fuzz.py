@@ -13,16 +13,14 @@ come at the end; a known defect that belongs to later work is a strict
 ``xfail`` case there.
 """
 
-import contextlib
-import io
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partiality import cli, lang, seq
+from partiality import lang, seq
 from partiality import delay as D
-from helpers import laters_n, prefix
+from helpers import laters_n, prefix, run_main
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -187,16 +185,6 @@ def test_interpreter_and_vm_agree_on_open_terms(seed, size, how):
 
 
 # --- CLI contract ------------------------------------------------------------
-
-
-def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exit_:
-            code = exit_.code
-    return code, out.getvalue(), err.getvalue()
 
 
 _PROGRAMS = st.one_of(

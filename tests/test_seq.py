@@ -193,8 +193,10 @@ def _non_monotone():
         (lambda: seq.Seq(_non_monotone), seq.MonotonicityError),
         (lambda: seq.Seq(lambda: iter([PENDING])), RuntimeError),
         (lambda: seq.lub(lambda i: seq.unit(i % 2)), ChainViolationError),
+        # a source shaped like (exception, traceback) is a source, not a failure
+        (lambda: seq.Seq((KeyError("boom"), None)), TypeError),
     ],
-    ids=["producer", "monotonicity", "not-total", "chain-violation"],
+    ids=["producer", "monotonicity", "not-total", "chain-violation", "tuple-source"],
 )
 def test_a_failure_is_reraised_with_the_traceback_it_first_had(s, error):
     # each raise adds its frames to the exception's traceback; a re-raise
