@@ -17,8 +17,10 @@ class Record:
     between records of the same class whose fields are pairwise identical or
     equal, and is ``NotImplemented`` across classes; the hash is that of the
     tuple of fields; the repr reads ``Name(field=value, ...)``, and ``...``
-    for a record met again inside its own repr.  A record has no
-    ``__dict__``, and assigning or deleting a field is an ``AttributeError``.
+    for a record met again inside its own repr; an ``int`` field too long
+    for ``repr`` (past 4 300 digits) is written out by ``_int_text``.  A
+    record has no ``__dict__``, and assigning or deleting a field is an
+    ``AttributeError``.
     ``__init__`` stores each field through its slot descriptor, and
     ``__repr__`` keeps its own recursion guard: both cost less than the
     ``object.__setattr__`` and the wrapper a frozen dataclass uses.
@@ -28,7 +30,7 @@ class Record:
 
     def __init_subclass__(cls):
         fields = cls.__slots__
-        ns = {"_get_ident": get_ident, "_shown": _shown}
+        ns = {"_get_ident": get_ident, "_shown": _shown, "_show": _show}
         ns.update((f"_set_{f}", getattr(cls, f).__set__) for f in fields)
         attrs = "".join(f"self.{f}, " for f in fields)
         same = "".join(
@@ -37,6 +39,7 @@ class Record:
             for f in fields
         )
         shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+        shown_long = ", ".join(f"{f}={{_show(self.{f})}}" for f in fields)
         exec(
             f"def __init__(self, {', '.join(fields)}):\n"
             + ("".join(f"    _set_{f}(self, {f})\n" for f in fields) or "    pass\n")
@@ -54,6 +57,8 @@ class Record:
             "    _shown.add(key)\n"
             "    try:\n"
             f"        return f'{{self.__class__.__qualname__}}({shown})'\n"
+            "    except ValueError:\n"
+            f"        return f'{{self.__class__.__qualname__}}({shown_long})'\n"
             "    finally:\n"
             "        _shown.discard(key)\n",
             ns,
@@ -106,6 +111,11 @@ def _int_text(n: int) -> str:
         chunks.append(str(r).zfill(_DIGITS))
     chunks.append(str(n))
     return "".join(reversed(chunks))
+
+
+def _show(v) -> str:
+    """``repr(v)``, with an int of any size written out in full."""
+    return _int_text(v) if type(v) is int else repr(v)
 
 
 def _read_int(text: str) -> int:

@@ -103,7 +103,9 @@ def search(q: Callable[[Any], bool], xs: Stream) -> Seq:
         def step(s: Stream) -> Seq:
             if q(s.head):
                 return seq.unit(s.head)
-            return f(s.tail)
+            # a forced tail is read from its slot, without the property call
+            tail = s._tail
+            return f(tail if type(tail) is Stream else s.tail)
 
         return step
 

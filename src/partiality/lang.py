@@ -405,12 +405,16 @@ def agree_within(t, fuel: int) -> Verdict:
 
     ``TRUE``/``FALSE`` are final; if either side has not converged within
     ``fuel`` the verdict is ``UNKNOWN``, so a diverging term stays
-    ``UNKNOWN`` at any fuel.
+    ``UNKNOWN`` at any fuel.  The machine runs first, and the interpreter
+    only if the machine converged: once one side is out of fuel the verdict
+    is ``UNKNOWN`` whatever the other does.
     """
     code = compile_term(t)
-    a = run(t, fuel)
     b = run_code(code, fuel)
-    if a is TIMEOUT or b is TIMEOUT:
+    if b is TIMEOUT:
+        return Verdict.UNKNOWN
+    a = run(t, fuel)
+    if a is TIMEOUT:
         return Verdict.UNKNOWN
     return Verdict.TRUE if observe_value(a.value) == observe_value(b.value) else Verdict.FALSE
 

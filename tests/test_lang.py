@@ -318,6 +318,17 @@ def test_agreement_is_false_when_the_values_differ(monkeypatch):
     assert agree_within(parse("1"), 4) is Verdict.UNKNOWN
 
 
+def test_agreement_runs_the_interpreter_only_once_the_machine_converged(monkeypatch):
+    calls = []
+    real_run = lang.run
+    monkeypatch.setattr(lang, "run", lambda t, fuel: calls.append(t) or real_run(t, fuel))
+    assert agree_within(OMEGA, 64) is Verdict.UNKNOWN
+    assert calls == []
+    three = parse(r"(\f. f (f 1)) (\x. suc x)")
+    assert agree_within(three, 64) is Verdict.TRUE
+    assert len(calls) == 1 and calls[0] is three
+
+
 def bisim_of_behaviours(t, fuel):
     # the reference: the two runs mapped to observable values, viewed as
     # sequences, and compared with seq.bisim_within

@@ -215,6 +215,26 @@ def test_a_self_containing_record_prints_as_a_dataclass_does():
     assert repr(x) == repr(tx) == "Now(value=[...])"
 
 
+BIG = 10**4400  # past the 4 300 digits that repr writes out
+BIG_TEXT = "1" + "0" * 4400
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (L.Nat(BIG), f"Nat(n={BIG_TEXT})"),
+        (L.Lit(-BIG), f"Lit(n=-{BIG_TEXT})"),
+        (L.PushLit(BIG), f"PushLit(n={BIG_TEXT})"),
+        (D.Converged(BIG, 3), f"Converged(value={BIG_TEXT}, steps=3)"),
+        (D.Converged(L.Nat(BIG), 3), f"Converged(value=Nat(n={BIG_TEXT}), steps=3)"),
+        (seq.Witness("x", BIG), f"Witness(value='x', index={BIG_TEXT})"),
+    ],
+    ids=["Nat", "Lit", "PushLit", "Converged", "Converged-Nat", "Witness"],
+)
+def test_an_int_field_of_any_size_prints_in_full(x, want):
+    assert repr(x) == want
+
+
 def test_fields_compare_as_tuple_items_do():
     # identical fields are equal before `==` is asked, as in a tuple
     nan = float("nan")

@@ -709,6 +709,23 @@ def test_lub_builds_no_member_inside_a_run_it_has_passed():
     assert built == list(range(7))
 
 
+def test_lub_reads_no_cell_of_its_leading_bottom_members(monkeypatch):
+    # pending members that are not bottom() follow the bottom() prefix; the
+    # prefix is still passed a diagonal at a time up to the done cell
+    reads = []
+    at = seq.Seq.at
+
+    def counting_at(self, n):
+        if self is seq.bottom():
+            reads.append(n)
+        return at(self, n)
+
+    monkeypatch.setattr(seq.Seq, "at", counting_at)
+    fam = lambda i: seq.bottom() if i < 3 else shift_n(seq.unit(7), 40)
+    assert seq.converges_within(seq.lub(fam), 2000) == Witness(7, seq.cantor_pair(3, 40))
+    assert reads == []
+
+
 def test_lub_conflict_after_a_bottom_prefix_names_the_oracle_cells():
     bad = seq.lub(lambda i: seq.bottom() if i < 4 else seq.unit(i % 2))
     specs = [("bottom", 0, 0)] * 4 + [("shift", i % 2, 0) for i in range(4, 40)]
