@@ -105,10 +105,11 @@ _NEVER = Delay(None)
 _NEVER._step = _NEVER  # its step is itself
 
 
-def _check_fuel(fuel: int) -> None:
-    # the one fuel rule: an integer, or a TypeError, and not negative
+def _check_fuel(fuel: int) -> int:
+    # the one fuel rule: an integer, or a TypeError, and not negative; its int is the fuel
     if (n := operator.index(fuel)) < 0:
         raise ValueError(f"negative fuel: {_int_text(n)}")
+    return n
 
 
 def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
@@ -120,7 +121,7 @@ def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
     Negative fuel is a ``ValueError``, and fuel that is not an integer a
     ``TypeError``.
     """
-    _check_fuel(fuel)
+    fuel = _check_fuel(fuel)
     steps = 0
     while type(d := d._next()) is not Now:
         if steps == fuel:

@@ -28,10 +28,13 @@ terms use de Bruijn indices.  There are two executable accounts:
 
 Each back end has one loop, and it takes a budget: it runs through calls or
 beta reductions in place while the budget lasts, and returns the step it
-stops at as a node.  A node's step is that loop with budget 0.  A run
+stops at as a node.  A node's step is that loop with budget 0.  One node
+class serves both back ends: as a ``Delay`` keeps its thunk in ``_step``
+until it runs, a node keeps its loop there until its step runs.  A run
 that only wants the answer goes through ``run`` or ``run_code``, the loop
 with the whole fuel as its budget, which builds no node per step and answers
-exactly as ``run_fuel`` over ``evaluate`` or ``execute`` would.
+exactly as ``run_fuel`` over ``evaluate`` or ``execute`` would.  The one
+fuel check yields the ``int`` that budget counts with.
 
 Both get stuck on the same ill-typed operations (calling a number, taking
 the successor of a function), and stuckness is abortive: the first stuck
@@ -221,18 +224,23 @@ def disassemble(code: tuple) -> list[str]:
 
 
 class _Call(Delay):
-    """One step of a run: the code and environment a closure call enters,
-    and the run's ``(stack, frames)``, which all of its steps share."""
+    """One step of a run of either back end: the code or term and the
+    environment a call enters, and the run's ``(stack, frames)`` or stack of
+    continuations, which all of its steps share.  As a ``Delay`` keeps its
+    thunk in ``_step`` until it runs, the node keeps its loop, ``_run`` or
+    ``_eval``, there until its step runs; ``run`` and ``run_code`` call the
+    loop with the ``int`` that the fuel check gives, and build no node."""
 
     __slots__ = ("_code", "_env", "_machine")
 
-    def __init__(self, code: tuple, env: tuple, machine: tuple):
+    def __init__(self, loop, code, env: tuple, machine):
         self._code, self._env, self._machine = code, env, machine
-        self._step = self._layer = None
+        self._step, self._layer = loop, None
 
     def _next(self) -> "Now | _Call":
-        if self._step is None:
-            self._step = _run(self._code, self._env, self._machine, 0)
+        if self._machine is not None:
+            loop = self._step
+            self._step = loop(self._code, self._env, self._machine, 0)
             self._code = self._env = self._machine = None
         return self._step
 
@@ -265,7 +273,7 @@ def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converg
             if pc == end or type(code[pc]) is not Ret:
                 frames.append((code, pc, env))  # a tail call, just before Ret, needs none
             if not budget:
-                return _Call(fv.code, fv.env + (av,), machine)
+                return _Call(_run, fv.code, fv.env + (av,), machine)
             budget -= 1
             code, pc, env = fv.code, 0, fv.env + (av,)
             end = len(code)
@@ -292,7 +300,7 @@ def execute(code: tuple) -> Delay:
     Ill-typed operations halt the whole machine with ``STUCK`` — the frame
     stack is abandoned, matching the interpreter's abortive stuckness.
     """
-    return _Call(code, (), ([], []))
+    return _Call(_run, code, (), ([], []))
 
 
 def run_code(code: tuple, fuel: int) -> "Converged | Marker":
@@ -304,7 +312,7 @@ def run_code(code: tuple, fuel: int) -> "Converged | Marker":
 def _spend(loop, start, machine, fuel: int) -> "Converged | Marker":
     # a back end's loop with the whole fuel as its budget; a loop that stops
     # at a step node, or ends with ``Now``, has spent all of it
-    _check_fuel(fuel)
+    fuel = _check_fuel(fuel)
     ob = loop(start, (), machine, fuel)
     if isinstance(ob, _Call):
         return TIMEOUT
@@ -317,7 +325,7 @@ def _spend(loop, start, machine, fuel: int) -> "Converged | Marker":
 
 def evaluate(t) -> Delay:
     """Call-by-value evaluation (a free variable is stuck); one step per beta reduction."""
-    return _Eval(t, (), [])
+    return _Call(_eval, t, (), [])
 
 
 def run(t, fuel: int) -> "Converged | Marker":
@@ -326,23 +334,10 @@ def run(t, fuel: int) -> "Converged | Marker":
     return _spend(_eval, t, [], fuel)
 
 
-class _Eval(_Call):
-    """One step of an interpreter run: the term and environment to evaluate,
-    and the run's stack of pending continuations, which all of its steps share."""
-
-    __slots__ = ()
-
-    def _next(self) -> "Now | _Eval":
-        if self._step is None:
-            self._step = _eval(self._code, self._env, self._machine, 0)
-            self._code = self._env = self._machine = None
-        return self._step
-
-
 _SUC = object()  # the continuation that takes the successor of a value
 
 
-def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | _Eval":
+def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | _Call":
     # evaluate through up to ``budget`` beta reductions and stop at the next
     # one as its node, or end at the value of the whole run (``_end``); ``konts``
     # holds ``_SUC``, an argument ``(term, env)`` still to evaluate, or a
@@ -376,7 +371,7 @@ def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | _Eval":
                     break
                 elif type(k) is Closure:
                     if not budget:
-                        return _Eval(k.body, k.env + (v,), konts)
+                        return _Call(_eval, k.body, k.env + (v,), konts)
                     budget -= 1
                     t, env = k.body, k.env + (v,)
                     break

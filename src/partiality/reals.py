@@ -90,7 +90,7 @@ def is_cauchy_prefix(f: Real, n: int) -> bool:
 def equiv_within(f: Real, g: Real, fuel: int) -> bool:
     """Check the same-real criterion at every index up to ``fuel``, which is
     checked first, as ``run_fuel`` checks it."""
-    _check_fuel(fuel)
+    fuel = _check_fuel(fuel)
     for n in range(fuel + 1):
         p, q = (f(n) - g(n)).as_integer_ratio()
         if abs(n * p) > 2 * q:

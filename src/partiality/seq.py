@@ -280,7 +280,7 @@ def converges_within(s: Seq, fuel: int) -> Optional[Witness]:
     convergence index.  Negative fuel is a ``ValueError``, and fuel that is
     not an integer a ``TypeError``.
     """
-    _check_fuel(fuel)
+    fuel = _check_fuel(fuel)
     if s._done is None and s._scanned <= fuel:
         s._pull(fuel, True)
     return Witness(s._done.value, s._done_at) if s._done_at <= fuel else None
@@ -341,7 +341,7 @@ def leq_within(s: Seq, t: Seq, fuel: int) -> Verdict:
     * ``UNKNOWN`` otherwise; in particular a converged left against a silent
       right stays unknown forever, since divergence cannot be confirmed.
     """
-    _check_fuel(fuel)
+    fuel = _check_fuel(fuel)
     if s is t or s is _BOTTOM:
         return Verdict.TRUE
     ws = converges_within(s, fuel)

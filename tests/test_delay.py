@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partiality import delay as D
-from partiality import lang, seq
+from partiality import lang, reals, seq
 from helpers import laters_n, shift_n
 
 
@@ -31,6 +31,52 @@ def test_fuel_that_is_not_an_integer_is_rejected():
     for fuel in (1.5, 2.0):
         with pytest.raises(TypeError):
             D.run_fuel(laters_n(D.now(1), 5), fuel)
+
+
+class IndexFuel:
+    """Fuel that is an integer only by ``__index__``.  A loop that compares
+    the object itself with its count would never see it equal, so a few
+    comparisons fail the test instead of letting it hang."""
+
+    def __init__(self, n):
+        self.n, self.compared = n, 0
+
+    def __index__(self):
+        return self.n
+
+    def __eq__(self, other):
+        self.compared += 1
+        if self.compared > 3:
+            raise AssertionError("the fuel object was compared, not its integer")
+        return NotImplemented
+
+
+THREE = lang.parse(r"(\f. f (f 1)) (\x. suc x)")  # three steps on both back ends
+
+FUEL_TAKERS = {
+    "run_fuel": lambda fuel: D.run_fuel(laters_n(D.now(1), 3), fuel),
+    "converges_within": lambda fuel: seq.converges_within(shift_n(seq.unit(7), 3), fuel),
+    "leq_within": lambda fuel: seq.leq_within(shift_n(seq.unit(1), 3), shift_n(seq.unit(1), 2), fuel),
+    "equiv_within": lambda fuel: reals.equiv_within(lambda n: 0, lambda n: 1, fuel),  # apart from index 3
+    "lang.run": lambda fuel: lang.run(THREE, fuel),
+    "run_code": lambda fuel: lang.run_code(lang.compile_term(THREE), fuel),
+    "agree_within": lambda fuel: lang.agree_within(THREE, fuel),
+}
+
+
+@pytest.mark.parametrize("taker", FUEL_TAKERS)
+def test_fuel_that_is_an_integer_by_index_counts_as_that_integer(taker):
+    go = FUEL_TAKERS[taker]
+    assert go(IndexFuel(3)) == go(3) != go(2)
+    with pytest.raises(ValueError, match="^negative fuel: -2$"):
+        go(IndexFuel(-2))
+
+
+def test_fuel_is_counted_as_the_integer_it_stands_for():
+    assert D.run_fuel(D.never(), IndexFuel(3)) is D.TIMEOUT
+    identity = lang.parse(r"(\x. x) 1")
+    for got in (lang.run(identity, True), lang.run_code(lang.compile_term(identity), True)):
+        assert got == D.Converged(lang.Nat(1), 1) and type(got.steps) is int
 
 
 def test_observation_is_memoized():
@@ -272,6 +318,9 @@ def shape(layers):
     return [layer.value if type(layer) is D.Now else "later" for layer in layers]
 
 
+LOOPS = {"evaluate": "_eval", "execute": "_run"}  # the loop each back end's nodes step with
+
+
 @pytest.mark.parametrize("kind", NODE_KINDS)
 def test_observe_and_run_fuel_share_each_nodes_step(kind, monkeypatch):
     calls = []
@@ -289,6 +338,8 @@ def test_observe_and_run_fuel_share_each_nodes_step(kind, monkeypatch):
             assert layer.rest is d._next()
             d = layer.rest
     assert calls == ran  # every thunk and continuation ran once, in the walk
+    if kind in LOOPS:  # the patched loop, and no other, took the steps: ``ran`` is not empty
+        assert {tag for tag, _ in ran} == {LOOPS[kind]}
 
     # observe first: run_fuel then takes the steps observe memoized
     calls.clear()
@@ -297,3 +348,5 @@ def test_observe_and_run_fuel_share_each_nodes_step(kind, monkeypatch):
     ran = list(calls)
     assert D.run_fuel(d, FUEL) == answer
     assert calls == ran
+    if kind in LOOPS:
+        assert {tag for tag, _ in ran} == {LOOPS[kind]}

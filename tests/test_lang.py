@@ -435,7 +435,7 @@ def test_interpreter_work_per_step_is_flat(monkeypatch):
     inner = lang._eval
 
     def node_path(konts, fuel):
-        return D.run_fuel(lang._Eval(t, (), konts), fuel)
+        return D.run_fuel(lang._Call(lang._eval, t, (), konts), fuel)
 
     def run_path(konts, fuel):
         with monkeypatch.context() as m:
@@ -611,13 +611,13 @@ def test_interpreter_runs_leave_no_reference_cycles():
 def test_interpreter_builds_one_step_node_per_step(monkeypatch):
     # the growing term's context deepens by one `suc` a step
     built = [0]
-    init = lang._Eval.__init__
+    init = lang._Call.__init__
 
     def counting_init(self, *args):
         built[0] += 1
         init(self, *args)
 
-    monkeypatch.setattr(lang._Eval, "__init__", counting_init)
+    monkeypatch.setattr(lang._Call, "__init__", counting_init)
     t = parse(r"(\f. f f) (\f. suc (f f))")
     for fuel in (10**3, 10**4):
         d = evaluate(t)
