@@ -6,6 +6,12 @@ of fuel with nothing decided, 3 a run that got stuck.
 
 ``run``/``vm``/``compile`` accept either a file name or literal program
 text; ``laws`` replays the seeded property suites without pytest.
+
+``main`` reads the plain question forms itself: ``run``, ``vm``, ``compile``,
+``ispositive`` or ``search``, then exactly that subcommand's operands, then
+optionally ``--fuel N``, with no operand or ``N`` starting with ``-``.  Every
+other argv goes to argparse, which reads these forms the same way, so the
+output, help and usage errors are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Callable
 
 from . import cpo, delay, lang, reals, seq
 from ._record import _int_text, _read_int
-from .delay import TIMEOUT
+from .delay import TIMEOUT, _check_fuel
 from .seq import ChainViolationError, Verdict
 
 DEFAULT_FUEL = 1000
@@ -251,14 +257,13 @@ _LAWS = [
 
 
 def cmd_laws(args) -> int:
-    if args.count < 0:
-        raise ValueError(f"negative count: {_int_text(args.count)}")
+    count = _check_fuel(args.count, "count")
     rng = random.Random(args.seed)
     all_ok = True
     for name, law in _LAWS:
-        passed = sum(law(rng) for _ in range(args.count))
-        print(f"{name}: {passed}/{args.count}")
-        all_ok = all_ok and passed == args.count
+        passed = sum(law(rng) for _ in range(count))
+        print(f"{name}: {passed}/{count}")
+        all_ok = all_ok and passed == count
     if all_ok:
         print("all suites passed")
         return 0
@@ -288,40 +293,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# the plain question forms, written once: subcommand -> (handler, help, each
+# positional with its help, whether it takes --fuel); `_build_parser` builds
+# these subcommands from it and `_read_plain` reads them
+_QUESTIONS = {
+    "run": (cmd_run, "evaluate a program with the interpreter",
+            {"program": "file name or literal program text"}, True),
+    "vm": (cmd_vm, "compile and run a program on the stack machine", {"program": None}, True),
+    "compile": (cmd_compile, "show the compiled code of a program", {"program": None}, False),
+    "ispositive": (cmd_ispositive, "semidecide the sign of a rational constant",
+                   {"rational": "p or p/q"}, True),
+    "search": (cmd_search, "unbounded search over an arithmetic stream",
+               {"predicate": "even, odd, gt:N, ge:N, lt:N, le:N or eq:N",
+                "stream": "start or start:step"}, True),
+}
+
+
 @functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="partiality")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def fuel_opt(sp):
-        sp.add_argument("--fuel", type=_int_arg, default=DEFAULT_FUEL)
-
-    sp = sub.add_parser("run", help="evaluate a program with the interpreter")
-    sp.add_argument("program", help="file name or literal program text")
-    fuel_opt(sp)
-    sp.set_defaults(fn=cmd_run)
-
-    sp = sub.add_parser("vm", help="compile and run a program on the stack machine")
-    sp.add_argument("program")
-    fuel_opt(sp)
-    sp.set_defaults(fn=cmd_vm)
-
-    sp = sub.add_parser("compile", help="show the compiled code of a program")
-    sp.add_argument("program")
-    sp.set_defaults(fn=cmd_compile)
-
-    sp = sub.add_parser("ispositive", help="semidecide the sign of a rational constant")
-    sp.add_argument("rational", help="p or p/q")
-    fuel_opt(sp)
-    sp.set_defaults(fn=cmd_ispositive)
-    sp._negative_number_matcher = _NEGATIVE_ARG  # let `ispositive -3/2` through
-
-    sp = sub.add_parser("search", help="unbounded search over an arithmetic stream")
-    sp.add_argument("predicate", help="even, odd, gt:N, ge:N, lt:N, le:N or eq:N")
-    sp.add_argument("stream", help="start or start:step")
-    fuel_opt(sp)
-    sp.set_defaults(fn=cmd_search)
-    sp._negative_number_matcher = _NEGATIVE_ARG  # and `search even -5:3`
+    for name, (fn, text, positionals, takes_fuel) in _QUESTIONS.items():
+        sp = sub.add_parser(name, help=text)
+        for pos, pos_text in positionals.items():
+            sp.add_argument(pos, help=pos_text)
+        if takes_fuel:
+            sp.add_argument("--fuel", type=_int_arg, default=DEFAULT_FUEL)
+        sp.set_defaults(fn=fn)
+        if name in ("ispositive", "search"):  # let `ispositive -3/2` and `search even -5:3` through
+            sp._negative_number_matcher = _NEGATIVE_ARG
 
     sp = sub.add_parser("laws", help="replay the seeded property suites")
     sp.add_argument("--seed", type=_int_arg, default=0)
@@ -331,8 +331,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_plain(argv: list) -> argparse.Namespace | None:
+    """The ``Namespace`` argparse builds for ``CMD ARG... [--fuel N]``, where
+    no ``ARG`` or ``N`` starts with ``-`` and ``N`` reads as an integer; None
+    for every other argv, which is argparse's to read."""
+    form = _QUESTIONS.get(argv[0]) if argv and isinstance(argv[0], str) else None
+    if form is None:
+        return None
+    fn, _, positionals, takes_fuel = form
+    n = len(positionals) + 1
+    if len(argv) != n and not (takes_fuel and len(argv) == n + 2 and argv[n] == "--fuel"):
+        return None
+    if not all(isinstance(a, str) and a[:1] != "-" for a in argv[1:n] + argv[n + 1 :]):
+        return None
+    args = argparse.Namespace(command=argv[0], **dict(zip(positionals, argv[1:n])))
+    if takes_fuel:
+        try:
+            args.fuel = _read_int(argv[n + 1]) if len(argv) > n else DEFAULT_FUEL
+        except ValueError:
+            return None
+    args.fn = fn
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (lang.LangError, ValueError, OSError) as err:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from . import seq
+from .delay import _check_fuel
 from .seq import Seq
 
 
@@ -25,7 +26,9 @@ def bottom_fun(_a: Any) -> Seq:
 
 
 def iterate(phi: Callable, n: int) -> Callable:
-    """The ``n``-th unrolling ``phi^n`` applied to the undefined function."""
+    """The ``n``-th unrolling ``phi^n`` applied to the undefined function;
+    ``n`` is a count, checked as fuel is."""
+    n = _check_fuel(n, "count")
     f = bottom_fun
     for _ in range(n):
         f = phi(f)
@@ -83,6 +86,8 @@ def stream_iterate(start: Any, step: Callable[[Any], Any]) -> Stream:
 
 
 def stream_prefix(xs: Stream, n: int) -> list:
+    """The first ``n`` elements of ``xs``; ``n`` is a count, checked as fuel is."""
+    n = _check_fuel(n, "count")
     out = []
     for i in range(n):
         out.append(xs.head)

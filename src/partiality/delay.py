@@ -105,10 +105,11 @@ _NEVER = Delay(None)
 _NEVER._step = _NEVER  # its step is itself
 
 
-def _check_fuel(fuel: int) -> int:
-    # the one fuel rule: an integer, or a TypeError, and not negative; its int is the fuel
+def _check_fuel(fuel: int, name: str = "fuel") -> int:
+    # the one rule for fuel and every other count: an integer, or a TypeError,
+    # and not negative; its int is the count
     if (n := operator.index(fuel)) < 0:
-        raise ValueError(f"negative fuel: {_int_text(n)}")
+        raise ValueError(f"negative {name}: {_int_text(n)}")
     return n
 
 

@@ -77,7 +77,9 @@ def const_real(q: Rational) -> Real:
 
 
 def is_cauchy_prefix(f: Real, n: int) -> bool:
-    """Check the settling rate on all pairs ``m < k <= n``."""
+    """Check the settling rate on all pairs ``m < k <= n``; ``n`` is a count,
+    checked as fuel is."""
+    n = _check_fuel(n, "count")
     vals = [f(i) for i in range(n + 1)]
     for m in range(1, n + 1):
         for k in range(m + 1, n + 1):

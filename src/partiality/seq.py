@@ -431,7 +431,9 @@ def lub(family: Callable[[int], Seq]) -> Seq:
 
 
 def ismon_prefix(s: Seq, n: int) -> bool:
-    """Check monotonicity on the first ``n`` cells, which pulling them checks."""
+    """Check monotonicity on the first ``n`` cells, which pulling them checks;
+    ``n`` is a count, checked as fuel is."""
+    n = _check_fuel(n, "count")
     try:
         if n > 0:
             s.at(n - 1)

@@ -356,3 +356,104 @@ def test_generated_argv_keeps_the_exit_code_contract(argv):
     assert code in (0, 1, 2, 3)
     assert err == "" or code == 1
     assert run_main(argv) == first
+
+
+# --- the plain forms that main reads without argparse ------------------------
+
+
+def _agrees_with_argparse(argv):
+    # whatever the reader accepts, it reads as argparse does
+    args = cli._read_plain(argv)
+    assert args is None or args == cli._build_parser().parse_args(argv)
+    return args
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_ARGV)
+def test_the_plain_reader_agrees_with_argparse_on_generated_argv(argv):
+    _agrees_with_argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", ""],  # argparse reads the empty string as a positional
+        ["compile", ""],
+        ["search", "ge:0", "٠:٣٥", "--fuel", "٣"],  # Arabic-Indic digits
+        ["ispositive", "1/3", "--fuel", NINES],
+        ["run", "1", "--fuel", "1_000"],
+        ["run", "vm"],  # a program that is a subcommand's name
+        ["search", "search", "run", "--fuel", " 7 "],
+    ],
+)
+def test_the_plain_reader_reads_what_argparse_reads(argv):
+    assert _agrees_with_argparse(argv) is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["laws"],
+        [],
+        ["run", "1", "--fuel=5"],
+        ["run", "1", "--fu", "5"],  # an abbreviation
+        ["run", "--fuel", "5", "1"],  # an option before a positional
+        ["run", "1", "--fuel", "5", "--fuel", "6"],  # a repeated option
+        ["run", "--", "1"],
+        ["ispositive", "-3/2"],  # a negative operand
+        ["search", "even", "-5:3"],
+        ["run", "1", "--fuel", "-1"],  # a negative fuel
+        ["run", "1", "--fuel", "x"],  # an unreadable one
+        ["run", "1", "--fuel", ""],
+        ["run", "1", "--fuel"],
+        ["compile", "1", "--fuel", "5"],  # compile takes no fuel
+        ["run"],
+        ["search", "even"],
+        ["run", "1", "2"],
+        ["runs", "1"],
+    ],
+)
+def test_the_plain_reader_leaves_every_other_argv_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+_README_PLAIN = [
+    ["run", r"(\f. f (f 1)) (\x. suc x)"],
+    ["vm", r"(\f. f (f 1)) (\x. suc x)"],
+    ["compile", r"(\x. suc x) 1"],
+    ["run", r"(\x. x x) (\x. x x)", "--fuel", "50"],
+    ["run", "1 2"],
+    ["ispositive", "22/7"],
+    ["search", "even", "1:1"],
+]
+
+
+def _parser_builds(monkeypatch, capsys, argv):
+    calls = []
+    build = cli._build_parser
+
+    def spy():
+        calls.append(argv)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    return len(calls)
+
+
+@pytest.mark.parametrize("argv", _README_PLAIN + [("search", "even", "1:1")])
+def test_a_plain_form_does_not_build_the_parser(monkeypatch, capsys, argv):
+    assert _parser_builds(monkeypatch, capsys, argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["laws", "--count", "1"], ["run", "--fuel", "40", r"(\x. x x) (\x. x x)"], ["ispositive", "-1/1"]],
+)
+def test_every_other_form_goes_through_argparse(monkeypatch, capsys, argv):
+    assert _parser_builds(monkeypatch, capsys, argv) == 1

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partiality import delay as D
-from partiality import lang, reals, seq
+from partiality import cpo, lang, reals, seq
 from helpers import laters_n, shift_n
 
 
@@ -70,6 +70,34 @@ def test_fuel_that_is_an_integer_by_index_counts_as_that_integer(taker):
     assert go(IndexFuel(3)) == go(3) != go(2)
     with pytest.raises(ValueError, match="^negative fuel: -2$"):
         go(IndexFuel(-2))
+
+
+def _depth_phi(f):
+    # the n-th unrolling answers at arguments below n
+    return lambda a: seq.unit(0) if a == 0 else seq.map(f(a - 1), lambda v: v + 1)
+
+
+def _changes_at_2():
+    yield from (seq.Done(0), seq.Done(0), seq.Done(1))  # not monotone at cell 2
+
+
+# counts that are not fuel, each taken by the fuel rule
+COUNT_TAKERS = {
+    "is_cauchy_prefix": lambda n: reals.is_cauchy_prefix(lambda i: 1 if i == 3 else 0, n),
+    "iterate": lambda n: seq.converges_within(cpo.iterate(_depth_phi, n)(2), 10),
+    "stream_prefix": lambda n: cpo.stream_prefix(cpo.stream_iterate(0, lambda x: x + 1), n),
+    "ismon_prefix": lambda n: seq.ismon_prefix(seq.Seq(_changes_at_2), n),
+}
+
+
+@pytest.mark.parametrize("taker", COUNT_TAKERS)
+def test_a_count_is_checked_as_fuel_is(taker):
+    go = COUNT_TAKERS[taker]
+    assert go(IndexFuel(3)) == go(3) != go(2)
+    with pytest.raises(ValueError, match="^negative count: -2$"):
+        go(IndexFuel(-2))
+    with pytest.raises(TypeError):
+        go(1.5)
 
 
 def test_fuel_is_counted_as_the_integer_it_stands_for():
