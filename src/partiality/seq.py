@@ -363,10 +363,12 @@ def bisim_within(s: Seq, t: Seq, fuel: int) -> Verdict:
 
 
 def cantor_pair(i: int, j: int) -> int:
+    i, j = _check_fuel(i, "index"), _check_fuel(j, "index")
     return (i + j) * (i + j + 1) // 2 + j
 
 
 def cantor_unpair(k: int) -> tuple[int, int]:
+    k = _check_fuel(k, "index")
     w = (isqrt(8 * k + 1) - 1) // 2
     j = k - w * (w + 1) // 2
     return w - j, j

@@ -2,6 +2,7 @@ import argparse
 import gc
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -281,6 +282,14 @@ def test_laws_failure_exits_1(monkeypatch, capsys):
     assert (code, out, err) == (1, "always-fails: 0/3\nlaw failures detected\n", "")
 
 
+_SUITES = ["order-laws", "unit-injective", "flat-order", "monad-laws", "roundtrips", "lub-oracle", "lub-guard"]
+
+
+def _all_laws_pass(count):
+    # what `laws` prints when every suite passes all of its `count` cases
+    return "".join(f"{name}: {count}/{count}\n" for name in _SUITES) + "all suites passed\n"
+
+
 @pytest.mark.parametrize(
     "argv, code, out",
     [
@@ -288,6 +297,16 @@ def test_laws_failure_exits_1(monkeypatch, capsys):
         (["run", "(1"], 1, ""),
         (["vm", r"(\x. x x) (\x. x x)", "--fuel", "5"], 2, "timeout fuel=5\n"),
         (["run", "1 2"], 3, "stuck\n"),
+        (["laws", "--seed", "0", "--count", "5"], 0, _all_laws_pass(5)),
+        *[(["laws", "--seed", str(seed)], 0, _all_laws_pass(100)) for seed in range(6)],
+        (["vm", r"(\x. x x) (\x. x x)", "--fuel", "40"], 2, "timeout fuel=40\n"),
+        (["run", "--fuel", "40", r"(\x. x x) (\x. x x)"], 2, "timeout fuel=40\n"),  # read by argparse
+        (["compile", r"(\x. suc x) 1"], 0, "pushclo:\n  pushvar 0\n  add1\n  ret\npushlit 1\napply\n"),
+        (["search", "ge:500", "0", "--fuel", "200000"], 0, "found 500 index=125751\n"),
+        (["search", "even", "1:2", "--fuel", "5000"], 2, "unknown fuel=5000\n"),  # bottom all the way down
+        (["search", "--fuel=5000", "even", "1:2"], 2, "unknown fuel=5000\n"),  # read by argparse
+        (["ispositive", "0", "--fuel", "10"], 2, "unknown fuel=10\n"),
+        (["ispositive", "1/100000", "--fuel", "300000"], 0, "positive index=200001\n"),  # one long pull
     ],
 )
 def test_module_entry_point_exit_codes(argv, code, out):
@@ -298,6 +317,27 @@ def test_module_entry_point_exit_codes(argv, code, out):
     r = subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert (r.returncode, r.stdout) == (code, out)
     assert r.stderr.startswith("error: ") if code == 1 else r.stderr == ""
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+_ANSWER_CODES = {"now": 0, "positive": 0, "negative": 0, "found": 0, "timeout": 2, "stuck": 3}
+
+
+def test_the_readme_examples_print_the_answers_they_show(capsys):
+    # the block under `## Command line`; a comment that is an answer line is what its line prints
+    with open(_README, encoding="utf-8") as f:
+        block = f.read().split("\n## Command line\n", 1)[1].split("```\n")[1]
+    answered = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        answer = comment.strip()
+        kind = answer.partition(" ")[0]
+        if kind in _ANSWER_CODES:
+            assert program == "partiality"
+            assert run_cli(capsys, *argv) == (_ANSWER_CODES[kind], answer + "\n", "")
+            answered += 1
+    assert answered
 
 
 # --- the contract on generated argv --------------------------------------------

@@ -553,6 +553,19 @@ def test_cantor_pair_then_unpair(i, j):
     assert seq.cantor_unpair(seq.cantor_pair(i, j)) == (i, j)
 
 
+def test_cantor_indices_are_checked_as_fuel_is():
+    three = type("Three", (), {"__index__": lambda self: 3})()
+    assert seq.cantor_pair(three, three) == seq.cantor_pair(3, 3) == 24
+    assert seq.cantor_unpair(three) == seq.cantor_unpair(3) == (2, 0)
+    assert seq.cantor_pair(True, 2) == 8
+    for call in (lambda: seq.cantor_pair(-1, 0), lambda: seq.cantor_pair(0, -1), lambda: seq.cantor_unpair(-1)):
+        with pytest.raises(ValueError, match="^negative index: -1$"):
+            call()
+    for call in (lambda: seq.cantor_pair(1.5, 0), lambda: seq.cantor_pair(0, 1.5), lambda: seq.cantor_unpair(1.5)):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_lub_of_all_bottoms_is_pending():
     assert prefix(seq.lub(lambda i: seq.bottom()), 30) == [PENDING] * 30
 
