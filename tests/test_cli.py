@@ -109,6 +109,14 @@ def test_search_found(capsys):
     assert code == 0 and out == "found 2 index=3\n"
 
 
+_SUITES = ["order-laws", "unit-injective", "flat-order", "monad-laws", "roundtrips", "lub-oracle", "lub-guard"]
+
+
+def _all_laws_pass(count):
+    # what `laws` prints when every suite passes all of its `count` cases
+    return "".join(f"{name}: {count}/{count}\n" for name in _SUITES) + "all suites passed\n"
+
+
 NINES = "9" * 4400  # past the 4 300 digits Python's int-text conversion allows
 
 
@@ -134,10 +142,20 @@ def test_big_integer_operands(capsys, argv, answer):
         (["search", "even", "1:1", "--fuel", NINES], (0, "found 2 index=3\n", "")),
         (["run", "1", "--fuel", "-" + NINES], (1, "", "error: negative fuel: -" + NINES + "\n")),
         (["laws", "--count", "-" + NINES], (1, "", "error: negative count: -" + NINES + "\n")),
+        # the same options at everyday sizes
+        (["laws", "--seed", "0", "--count", "5"], (0, _all_laws_pass(5), "")),
+        *[(["laws", "--seed", str(seed)], (0, _all_laws_pass(100), "")) for seed in range(6)],
+        (["vm", r"(\x. x x) (\x. x x)", "--fuel", "40"], (2, "timeout fuel=40\n", "")),
+        (["run", "--fuel", "40", r"(\x. x x) (\x. x x)"], (2, "timeout fuel=40\n", "")),  # read by argparse
+        (["search", "ge:500", "0", "--fuel", "200000"], (0, "found 500 index=125751\n", "")),
+        (["search", "even", "1:2", "--fuel", "5000"], (2, "unknown fuel=5000\n", "")),  # bottom all the way down
+        (["search", "--fuel=5000", "even", "1:2"], (2, "unknown fuel=5000\n", "")),  # read by argparse
+        (["ispositive", "0", "--fuel", "10"], (2, "unknown fuel=10\n", "")),
+        (["ispositive", "1/100000", "--fuel", "300000"], (0, "positive index=200001\n", "")),  # one long pull
     ],
 )
 def test_big_integer_options(capsys, argv, answer):
-    # converging questions only: a silent one would spend all of a huge fuel
+    # a huge fuel only on a converging question: a silent one would spend all of it
     assert run_cli(capsys, *argv) == answer
 
 
@@ -282,14 +300,6 @@ def test_laws_failure_exits_1(monkeypatch, capsys):
     assert (code, out, err) == (1, "always-fails: 0/3\nlaw failures detected\n", "")
 
 
-_SUITES = ["order-laws", "unit-injective", "flat-order", "monad-laws", "roundtrips", "lub-oracle", "lub-guard"]
-
-
-def _all_laws_pass(count):
-    # what `laws` prints when every suite passes all of its `count` cases
-    return "".join(f"{name}: {count}/{count}\n" for name in _SUITES) + "all suites passed\n"
-
-
 @pytest.mark.parametrize(
     "argv, code, out",
     [
@@ -297,16 +307,6 @@ def _all_laws_pass(count):
         (["run", "(1"], 1, ""),
         (["vm", r"(\x. x x) (\x. x x)", "--fuel", "5"], 2, "timeout fuel=5\n"),
         (["run", "1 2"], 3, "stuck\n"),
-        (["laws", "--seed", "0", "--count", "5"], 0, _all_laws_pass(5)),
-        *[(["laws", "--seed", str(seed)], 0, _all_laws_pass(100)) for seed in range(6)],
-        (["vm", r"(\x. x x) (\x. x x)", "--fuel", "40"], 2, "timeout fuel=40\n"),
-        (["run", "--fuel", "40", r"(\x. x x) (\x. x x)"], 2, "timeout fuel=40\n"),  # read by argparse
-        (["compile", r"(\x. suc x) 1"], 0, "pushclo:\n  pushvar 0\n  add1\n  ret\npushlit 1\napply\n"),
-        (["search", "ge:500", "0", "--fuel", "200000"], 0, "found 500 index=125751\n"),
-        (["search", "even", "1:2", "--fuel", "5000"], 2, "unknown fuel=5000\n"),  # bottom all the way down
-        (["search", "--fuel=5000", "even", "1:2"], 2, "unknown fuel=5000\n"),  # read by argparse
-        (["ispositive", "0", "--fuel", "10"], 2, "unknown fuel=10\n"),
-        (["ispositive", "1/100000", "--fuel", "300000"], 0, "positive index=200001\n"),  # one long pull
     ],
 )
 def test_module_entry_point_exit_codes(argv, code, out):
@@ -323,18 +323,25 @@ _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 _ANSWER_CODES = {"now": 0, "positive": 0, "negative": 0, "found": 0, "timeout": 2, "stuck": 3}
 
 
-def test_the_readme_examples_print_the_answers_they_show(capsys):
-    # the block under `## Command line`; a comment that is an answer line is what its line prints
+def _readme_examples():
+    # (argv, comment) for each line of the block under `## Command line` in README.md
     with open(_README, encoding="utf-8") as f:
         block = f.read().split("\n## Command line\n", 1)[1].split("```\n")[1]
-    answered = 0
+    examples = []
     for line in block.splitlines():
         command, _, comment = line.partition("#")
         program, *argv = shlex.split(command)
-        answer = comment.strip()
+        assert program == "partiality"
+        examples.append((argv, comment.strip()))
+    return examples
+
+
+def test_the_readme_examples_print_the_answers_they_show(capsys):
+    # a comment that is an answer line is what its line prints
+    answered = 0
+    for argv, answer in _readme_examples():
         kind = answer.partition(" ")[0]
         if kind in _ANSWER_CODES:
-            assert program == "partiality"
             assert run_cli(capsys, *argv) == (_ANSWER_CODES[kind], answer + "\n", "")
             answered += 1
     assert answered
@@ -458,14 +465,11 @@ def test_the_plain_reader_leaves_every_other_argv_to_argparse(argv):
     assert cli._read_plain(argv) is None
 
 
+# the README examples that are plain questions: not `laws`, and no operand or fuel starting with `-`
 _README_PLAIN = [
-    ["run", r"(\f. f (f 1)) (\x. suc x)"],
-    ["vm", r"(\f. f (f 1)) (\x. suc x)"],
-    ["compile", r"(\x. suc x) 1"],
-    ["run", r"(\x. x x) (\x. x x)", "--fuel", "50"],
-    ["run", "1 2"],
-    ["ispositive", "22/7"],
-    ["search", "even", "1:1"],
+    argv
+    for argv, _ in _readme_examples()
+    if argv[0] != "laws" and not any(a.startswith("-") for a in argv if a != "--fuel")
 ]
 
 
