@@ -10,16 +10,19 @@ _shown = set()  # (id, thread) of each record whose repr is being built
 class Record:
     """The base of the package's immutable records.
 
-    A subclass declares only ``__slots__``, its fields in order.  Once per
-    class, ``__init_subclass__`` writes out ``__init__``, ``__eq__``,
-    ``__hash__`` and ``__repr__`` for those fields, as a frozen dataclass
-    does, and keeps any of them the subclass defines itself.  ``==`` holds
-    between records of the same class whose fields are pairwise identical or
-    equal, and is ``NotImplemented`` across classes; the hash is that of the
-    tuple of fields; the repr reads ``Name(field=value, ...)``, and ``...``
-    for a record met again inside its own repr; an ``int`` field too long
-    for ``repr`` (past 4 300 digits) is written out by ``_int_text``.  A
-    record has no ``__dict__``, and assigning or deleting a field is an
+    A subclass declares only ``__slots__``, its fields in order, and gets the
+    methods of a frozen dataclass with those fields.  ``__init_subclass__``
+    writes ``__init__`` when the class is made.  ``__eq__``, ``__hash__`` and
+    ``__repr__`` are written for a class the first time each is called on one
+    of its records, by the base's own method of that name, and installed on
+    the class, so an import compiles one method per class.  A method the
+    subclass defines itself is never replaced.  ``==`` holds between records
+    of the same class whose fields are pairwise identical or equal, and is
+    ``NotImplemented`` across classes; the hash is that of the tuple of
+    fields; the repr reads ``Name(field=value, ...)``, and ``...`` for a
+    record met again inside its own repr; an ``int`` field too long for
+    ``repr`` (past 4 300 digits) is written out by ``_int_text``.  A record
+    has no ``__dict__``, and assigning or deleting a field is an
     ``AttributeError``.
     ``__init__`` stores each field through its slot descriptor, and
     ``__repr__`` keeps its own recursion guard: both cost less than the
@@ -30,26 +33,58 @@ class Record:
 
     def __init_subclass__(cls):
         fields = cls.__slots__
-        ns = {"_get_ident": get_ident, "_shown": _shown, "_show": _show}
-        ns.update((f"_set_{f}", getattr(cls, f).__set__) for f in fields)
-        attrs = "".join(f"self.{f}, " for f in fields)
-        same = "".join(
-            f"    if self.{f} is not other.{f} and not self.{f} == other.{f}:\n"
-            f"        return False\n"
-            for f in fields
-        )
-        shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
-        shown_long = ", ".join(f"{f}={{_show(self.{f})}}" for f in fields)
+        ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
         exec(
             f"def __init__(self, {', '.join(fields)}):\n"
-            + ("".join(f"    _set_{f}(self, {f})\n" for f in fields) or "    pass\n")
-            + "def __eq__(self, other):\n"
+            + ("".join(f"    _set_{f}(self, {f})\n" for f in fields) or "    pass\n"),
+            ns,
+        )
+        cls.__match_args__ = fields
+        if "__init__" not in cls.__dict__:
+            ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = ns["__init__"]
+
+    def __eq__(self, other):
+        return _write(self.__class__, "__eq__")(self, other)
+
+    def __hash__(self):
+        return _write(self.__class__, "__hash__")(self)
+
+    def __repr__(self):
+        return _write(self.__class__, "__repr__")(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+
+
+def _write(cls, name: str):
+    """Compile the method ``name`` for the fields of the record class ``cls``,
+    install it on ``cls`` unless the class defines its own, and return it."""
+    fields = cls.__match_args__
+    if name == "__eq__":
+        source = (
+            "def __eq__(self, other):\n"
             "    if other.__class__ is not self.__class__:\n"
             "        return NotImplemented\n"
-            f"{same}"
-            "    return True\n"
-            "def __hash__(self):\n"
-            f"    return hash(({attrs}))\n"
+            + "".join(
+                f"    if self.{f} is not other.{f} and not self.{f} == other.{f}:\n"
+                f"        return False\n"
+                for f in fields
+            )
+            + "    return True\n"
+        )
+    elif name == "__hash__":
+        source = f"def __hash__(self):\n    return hash(({''.join(f'self.{f}, ' for f in fields)}))\n"
+    else:
+        shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+        shown_long = ", ".join(f"{f}={{_show(self.{f})}}" for f in fields)
+        source = (
             "def __repr__(self):\n"
             "    key = id(self), _get_ident()\n"
             "    if key in _shown:\n"
@@ -60,23 +95,15 @@ class Record:
             "    except ValueError:\n"
             f"        return f'{{self.__class__.__qualname__}}({shown_long})'\n"
             "    finally:\n"
-            "        _shown.discard(key)\n",
-            ns,
+            "        _shown.discard(key)\n"
         )
-        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-            if name not in cls.__dict__:
-                ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-                setattr(cls, name, ns[name])
-        cls.__match_args__ = fields
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+    ns = {"_get_ident": get_ident, "_shown": _shown, "_show": _show}
+    exec(source, ns)
+    method = ns[name]
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    if name not in cls.__dict__:
+        setattr(cls, name, method)
+    return method
 
 
 class Marker:
@@ -103,6 +130,8 @@ _INT = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")  # the decimal text `int` read
 
 def _int_text(n: int) -> str:
     """``str(n)``, for an int of any size."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
     if n < 0:
         return "-" + _int_text(-n)
     chunks = []

@@ -16,6 +16,10 @@ resume per pull.
 
 Bounds are decided on integers, from each value's ``as_integer_ratio()``, so a
 real may return any exact-ratio number: ``int``, ``Fraction`` or ``float``.
+Both laws decide on integer cross-products: values ``a/b`` and ``c/d`` at
+index ``n`` satisfy the same-real criterion iff ``|n * (a*d - c*b)| <= 2*b*d``
+and the settling rate iff ``|n * (a*d - c*b)| < b*d``, so no ``Fraction`` is
+built and a float is read exactly, never rounded by a subtraction.
 """
 
 from __future__ import annotations
@@ -81,10 +85,10 @@ def is_cauchy_prefix(f: Real, n: int) -> bool:
     checked as fuel is."""
     n = _check_fuel(n, "count")
     vals = [f(i) for i in range(n + 1)]
-    for m in range(1, n + 1):
-        for k in range(m + 1, n + 1):
-            p, q = (vals[m] - vals[k]).as_integer_ratio()
-            if abs(m * p) >= q:
+    ratios = [v.as_integer_ratio() for v in vals[1:]]  # f(0) is asked, never compared
+    for m, (a, b) in enumerate(ratios, 1):
+        for c, d in ratios[m:]:
+            if abs(m * (a * d - c * b)) >= b * d:
                 return False
     return True
 
@@ -94,8 +98,10 @@ def equiv_within(f: Real, g: Real, fuel: int) -> bool:
     checked first, as ``run_fuel`` checks it."""
     fuel = _check_fuel(fuel)
     for n in range(fuel + 1):
-        p, q = (f(n) - g(n)).as_integer_ratio()
-        if abs(n * p) > 2 * q:
+        x, y = f(n), g(n)
+        a, b = x.as_integer_ratio()
+        c, d = y.as_integer_ratio()
+        if abs(n * (a * d - c * b)) > 2 * b * d:
             return False
     return True
 

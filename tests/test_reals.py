@@ -140,12 +140,17 @@ def sign_cell_oracle(f, n):
     return PENDING if n == 0 or -2 <= n * f(n) <= 2 else Done(int(n * f(n) > 0))
 
 
+# The law oracles read each value as Fraction(x), which is exact for an int or
+# a float, so no float subtraction ever decides them.
+
+
 def cauchy_oracle(f, n):
-    return all(-1 < m * (f(m) - f(k)) < 1 for m in range(1, n + 1) for k in range(m + 1, n + 1))
+    v = [Fraction(f(i)) for i in range(n + 1)]
+    return all(-1 < m * (v[m] - v[k]) < 1 for m in range(1, n + 1) for k in range(m + 1, n + 1))
 
 
 def equiv_oracle(f, g, fuel):
-    return all(-2 <= n * (f(n) - g(n)) <= 2 for n in range(fuel + 1))
+    return all(-2 <= n * (Fraction(f(n)) - Fraction(g(n))) <= 2 for n in range(fuel + 1))
 
 
 def presentations(gaps):
@@ -159,8 +164,13 @@ def presentations(gaps):
 
 GAPS = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
 PRESENTATIONS = presentations(GAPS)
-# gaps of 3/(n+1) break the settling rate, so the laws see both verdicts
-LAW_INPUTS = presentations(GAPS + [-3, 3])
+# gaps of 3/(n+1) break the settling rate, so the laws see both verdicts;
+# int- and float-valued presentations are read exactly too
+LAW_INPUTS = st.one_of(
+    presentations(GAPS + [-3, 3]),
+    st.tuples(st.just("int"), st.integers(-4, 4), st.sampled_from([-3, -1, 0, 1, 3])),
+    st.tuples(st.just("float"), rationals(), st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])),
+)
 
 
 def presentation(t):
@@ -168,6 +178,11 @@ def presentation(t):
         return reals.const_real(t[1])
     if t[0] == "perturbed":
         return perturbed(t[1], t[2])
+    if t[0] == "int":
+        # int values: k, then k + c from index 2 on
+        return lambda n, k=t[1], c=t[2]: k + c if n >= 2 else k
+    if t[0] == "float":
+        return lambda n, x=float(t[1]), c=t[2]: x + c / (n + 1)
     return reals.const_real(Fraction(t[1], t[2]))
 
 
@@ -204,6 +219,41 @@ def test_laws_agree_with_the_fraction_formulas(a, b, n):
     f, g = presentation(a), presentation(b)
     assert reals.is_cauchy_prefix(f, n) == cauchy_oracle(f, n)
     assert reals.equiv_within(f, g, 2 * n) == equiv_oracle(f, g, 2 * n)
+
+
+def test_the_laws_ask_each_value_once_in_order():
+    calls = []
+
+    def asked(name, h):
+        def query(n):
+            calls.append((name, n))
+            return h(n)
+
+        return query
+
+    f, g = asked("f", reals.const_real(0)), asked("g", reals.const_real(1))
+    # equiv_within asks f(n), g(n) index by index and stops at the first failing
+    # index, 3, where 3 * 1 > 2
+    assert not reals.equiv_within(f, g, 10)
+    assert calls == [(name, n) for n in range(4) for name in "fg"]
+    calls.clear()
+    assert reals.equiv_within(f, g, 2)
+    assert calls == [(name, n) for n in range(3) for name in "fg"]
+    # is_cauchy_prefix asks f(0) .. f(n) once each, in order, then compares
+    for h, holds in [(reals.const_real(Fraction(1, 3)), True), (lambda n: n, False)]:
+        calls.clear()
+        assert reals.is_cauchy_prefix(asked("f", h), 6) is holds
+        assert calls == [("f", n) for n in range(7)]
+
+
+def test_the_laws_read_float_values_exactly():
+    # 2.0 - (-2**-60) rounds to 2.0 as a float; the exact gap is over 2
+    tiny = 2.0**-60
+    assert not reals.equiv_within(lambda n: 2.0, lambda n: -tiny, 1)
+    assert reals.equiv_within(lambda n: 2.0, lambda n: 0.0, 1)
+    # 1.0 - 2**-60 rounds to 1.0 as a float; the exact gap is under 1
+    assert reals.is_cauchy_prefix(lambda n: 1.0 if n == 1 else tiny, 2)
+    assert not reals.is_cauchy_prefix(lambda n: 1.0 if n == 1 else 0.0, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40])

@@ -7,6 +7,7 @@ repr bytes must match the twins' on terms, their machine code and the
 values and layers their runs give.
 """
 
+import ast
 import copy
 import os
 import pickle
@@ -201,10 +202,33 @@ def test_a_record_keeps_the_methods_its_class_defines():
         def __repr__(self):
             return "shown"
 
+    class Keyed(Record):
+        __slots__ = ("key", "note")
+
+        def __eq__(self, other):
+            return type(other) is Keyed and self.key == other.key
+
+        def __hash__(self):
+            return hash(self.key) + 1
+
+    own = {name: Keyed.__dict__[name] for name in ("__eq__", "__hash__")}
     x = Shown(1, b=[2])
     assert repr(x) == "shown" and x == Shown(1, [2]) and x != Shown(1, [3])
     with pytest.raises(TypeError):
         hash(x)  # the hash of the fields, as with a frozen dataclass
+    # methods written on first use for other classes, and for Keyed's repr
+    for y in samples():
+        assert y == y and not y != y
+        hash(y)
+        repr(y)
+    k = Keyed(1, "a")
+    assert repr(k) == f"{Keyed.__qualname__}(key=1, note='a')" and repr(x) == "shown"
+    assert k == Keyed(1, "b") and k != Keyed(2, "a") and k != D.Now(1)
+    assert hash(k) == hash(Keyed(1, "b")) == hash(1) + 1
+    # the base's methods, as super() reaches them, compare and hash all fields
+    assert Record.__eq__(k, Keyed(1, "b")) is False and Record.__hash__(k) == hash((1, "a"))
+    assert k == Keyed(1, "b") and hash(k) == hash(1) + 1
+    assert {name: Keyed.__dict__[name] for name in own} == own
 
 
 def test_a_self_containing_record_prints_as_a_dataclass_does():
@@ -248,3 +272,30 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_the_cli_import_writes_each_records_init_and_no_other_method():
+    # __eq__, __hash__ and __repr__ are written on first use, not at import
+    src = os.path.dirname(os.path.dirname(L.__file__))
+    check = (
+        "import partiality.cli\n"
+        "from partiality._record import Record\n"
+        "todo, found = [Record], []\n"
+        "while todo:\n"
+        "    for cls in todo.pop().__subclasses__():\n"
+        "        todo.append(cls)\n"
+        "        code = cls.__init__.__code__\n"
+        "        written = sorted({'__eq__', '__hash__', '__repr__'} & set(cls.__dict__))\n"
+        "        params = code.co_varnames[1 : code.co_argcount]\n"
+        "        found.append((cls.__module__, cls.__qualname__, written, params, cls.__slots__))\n"
+        "print(repr(sorted(found)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
+    found = ast.literal_eval(out.stdout)
+    names = {(cls.__module__, cls.__qualname__): fields for cls, fields in FIELDS.items()}
+    assert len(found) == len(FIELDS) + 1  # and seq._Failure
+    assert {(m, q) for m, q, *_ in found} >= set(names)
+    for module, qualname, written, params, slots in found:
+        assert written == [], qualname
+        assert params == slots == names.get((module, qualname), slots), qualname
