@@ -1,5 +1,9 @@
 """Immutable records, a frozen dataclass's semantics built cheaper, markers,
-and integers read from and written as decimal text of any length."""
+and integers read from and written as decimal text of any length.
+
+A record class's ``__init__`` is written when the class is made; its
+``__eq__``, ``__hash__`` and ``__repr__`` are written the first time each is
+called, so importing the package compiles one method per record class."""
 
 import re
 from _thread import get_ident
@@ -15,8 +19,7 @@ class Record:
     writes ``__init__`` when the class is made.  ``__eq__``, ``__hash__`` and
     ``__repr__`` are written for a class the first time each is called on one
     of its records, by the base's own method of that name, and installed on
-    the class, so an import compiles one method per class.  A method the
-    subclass defines itself is never replaced.  ``==`` holds between records
+    the class.  A method the subclass defines itself is never replaced.  ``==`` holds between records
     of the same class whose fields are pairwise identical or equal, and is
     ``NotImplemented`` across classes; the hash is that of the tuple of
     fields; the repr reads ``Name(field=value, ...)``, and ``...`` for a
@@ -130,7 +133,7 @@ _INT = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")  # the decimal text `int` read
 
 def _int_text(n: int) -> str:
     """``str(n)``, for an int of any size."""
-    if -_CHUNK < n < _CHUNK:
+    if abs(n) < _CHUNK:
         return str(n)
     if n < 0:
         return "-" + _int_text(-n)

@@ -1,7 +1,8 @@
 """The package's immutable records against frozen dataclasses as their oracle.
 
 Every layer, value, term and instruction is a slotted record whose methods
-are generated once per class.  Each class has a frozen dataclass twin here
+are generated once per class: ``__init__`` when the class is made, the others
+on first use.  Each class has a frozen dataclass twin here
 with the same name and fields, written out below; ``==``, hash values and
 repr bytes must match the twins' on terms, their machine code and the
 values and layers their runs give.
