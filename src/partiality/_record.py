@@ -19,14 +19,14 @@ class Record:
     writes ``__init__`` when the class is made.  ``__eq__``, ``__hash__`` and
     ``__repr__`` are written for a class the first time each is called on one
     of its records, by the base's own method of that name, and installed on
-    the class.  A method the subclass defines itself is never replaced.  ``==`` holds between records
-    of the same class whose fields are pairwise identical or equal, and is
-    ``NotImplemented`` across classes; the hash is that of the tuple of
-    fields; the repr reads ``Name(field=value, ...)``, and ``...`` for a
-    record met again inside its own repr; an ``int`` field too long for
-    ``repr`` (past 4 300 digits) is written out by ``_int_text``.  A record
-    has no ``__dict__``, and assigning or deleting a field is an
-    ``AttributeError``.
+    the class.  A method the subclass defines itself is never replaced.
+    ``==`` holds between records of the same class whose fields are pairwise
+    identical or equal, and is ``NotImplemented`` across classes; the hash is
+    that of the tuple of fields; the repr reads ``Name(field=value, ...)``,
+    and ``...`` for a record met again inside its own repr; an ``int`` field
+    too long for ``repr`` (past 4 300 digits) is written out by
+    ``_int_text``.  A record has no ``__dict__``, and assigning or deleting a
+    field is an ``AttributeError``.
     ``__init__`` stores each field through its slot descriptor, and
     ``__repr__`` keeps its own recursion guard: both cost less than the
     ``object.__setattr__`` and the wrapper a frozen dataclass uses.
