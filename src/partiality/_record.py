@@ -15,7 +15,9 @@ class Record:
     """The base of the package's immutable records.
 
     A subclass declares only ``__slots__``, its fields in order, and gets the
-    methods of a frozen dataclass with those fields.  ``__init_subclass__``
+    methods of a frozen dataclass with those fields.  It derives from
+    ``Record`` itself: deriving from another record class is a ``TypeError``,
+    since its fields would be only the subclass's own.  ``__init_subclass__``
     writes ``__init__`` when the class is made.  ``__eq__``, ``__hash__`` and
     ``__repr__`` are written for a class the first time each is called on one
     of its records, by the base's own method of that name, and installed on
@@ -35,6 +37,10 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
+        for base in cls.__bases__:
+            if base is not Record and issubclass(base, Record):
+                raise TypeError(f"record class {cls.__qualname__} derives from record class "
+                                f"{base.__qualname__}, whose fields it would drop")
         fields = cls.__slots__
         ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
         exec(

@@ -9,9 +9,10 @@ text; ``laws`` replays the seeded property suites without pytest.
 
 ``main`` reads the plain question forms itself: ``run``, ``vm``, ``compile``,
 ``ispositive`` or ``search``, then exactly that subcommand's operands, then
-optionally ``--fuel N``, with no operand or ``N`` starting with ``-``.  Every
-other argv goes to argparse, which reads these forms the same way, so the
-output, help and usage errors are the same bytes either way.
+optionally ``--fuel N``, with no operand or ``N`` starting with ``-`` but for
+a negative number such as ``-3/2`` or ``-5:3`` given to ``ispositive`` or
+``search``.  Every other argv goes to argparse, which reads these forms the
+same way, so the output, help and usage errors are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -271,8 +272,10 @@ def cmd_laws(args) -> int:
     return 1
 
 
-# args that look like negative numbers but carry a denominator or step
+# args that look like negative numbers but carry a denominator or step, and
+# the subcommands that read them as operands
 _NEGATIVE_ARG = re.compile(r"^-\d+([/:]-?\d+)?$")
+_SIGNED = ("ispositive", "search")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if takes_fuel:
             sp.add_argument("--fuel", type=_int_arg, default=DEFAULT_FUEL)
         sp.set_defaults(fn=fn)
-        if name in ("ispositive", "search"):  # let `ispositive -3/2` and `search even -5:3` through
+        if name in _SIGNED:  # let `ispositive -3/2` and `search even -5:3` through
             sp._negative_number_matcher = _NEGATIVE_ARG
 
     sp = sub.add_parser("laws", help="replay the seeded property suites")
@@ -333,8 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_plain(argv: list) -> argparse.Namespace | None:
     """The ``Namespace`` argparse builds for ``CMD ARG... [--fuel N]``, where
-    no ``ARG`` or ``N`` starts with ``-`` and ``N`` reads as an integer; None
-    for every other argv, which is argparse's to read."""
+    ``N`` reads as an integer and neither it nor an ``ARG`` starts with
+    ``-``, but for an ``ispositive`` or ``search`` operand that matches
+    ``_NEGATIVE_ARG``; None for every other argv, which is argparse's to read."""
     form = _QUESTIONS.get(argv[0]) if argv and isinstance(argv[0], str) else None
     if form is None:
         return None
@@ -342,7 +346,10 @@ def _read_plain(argv: list) -> argparse.Namespace | None:
     n = len(positionals) + 1
     if len(argv) != n and not (takes_fuel and len(argv) == n + 2 and argv[n] == "--fuel"):
         return None
-    if not all(isinstance(a, str) and a[:1] != "-" for a in argv[1:n] + argv[n + 1 :]):
+    signed = argv[0] in _SIGNED
+    if not all(isinstance(a, str) and (a[:1] != "-" or signed and _NEGATIVE_ARG.match(a)) for a in argv[1:n]):
+        return None
+    if not all(isinstance(a, str) and a[:1] != "-" for a in argv[n + 1 :]):  # the fuel
         return None
     args = argparse.Namespace(command=argv[0], **dict(zip(positionals, argv[1:n])))
     if takes_fuel:

@@ -11,8 +11,10 @@ with 1 from the first index that certifies positivity, done with 0 from the
 first that certifies non-positivity, pending forever on zero — so all the
 fuel-bounded machinery applies unchanged.  Its producer asks each pull how
 far it goes and answers the whole pull in one loop of queries, reported as
-one run of pending cells, so a scan costs a query per cell and a generator
-resume per pull.
+one run of pending cells.  It reads a value's ratio only when ``f`` returns
+another object than at the last query, and keeps the last index that ratio
+leaves pending, so a repeated value, such as ``const_real``'s, is read once
+and every later query is one integer comparison.
 
 Bounds are decided on integers, from each value's ``as_integer_ratio()``, so a
 real may return any exact-ratio number: ``int``, ``Fraction`` or ``float``.
@@ -36,6 +38,8 @@ Rational = Fraction
 
 Real = Callable[[int], Rational]
 
+_UNREAD = object()  # no value read yet; any value, None too, is read
+
 
 def is_positive(f: Real) -> Seq:
     """Positivity of the real named by ``f``, as a sequence of bits.
@@ -46,17 +50,29 @@ def is_positive(f: Real) -> Seq:
     (positive) or ``Done(0)`` (negative) and ``f`` is not queried again.
     For the zero real every index is pending.  One loop answers a whole
     pull: it queries each index the pull needs, in order, and reports the
-    pending ones as one run.  A query that raises leaves the cells before
-    it scanned, and the error is raised on the next resume.
+    pending ones as one run.  A value that is the same object as the last
+    one is not read again: its ratio gave ``lim = 2*q // |p|``, the last
+    index it leaves pending (``|m*p| > 2*q`` iff ``m > lim``), so the query
+    is one integer comparison; a zero leaves the whole pull pending.  A
+    value changed in place between queries is read as it first was.  A
+    query that raises leaves the cells before it scanned, and the error is
+    raised on the next resume.
     """
     def produce():
         k = 0  # the next cell to report; cell 0 needs no query
+        last, p = _UNREAD, 0  # the value last read, and its numerator
         while True:
             n = yield _WANT  # the last index this pull needs
+            if not p:
+                lim = n  # a zero value leaves every cell of this pull pending
             try:
                 for m in range(k or 1, n + 1):
-                    p, q = f(m).as_integer_ratio()
-                    if abs(m * p) > 2 * q:
+                    x = f(m)
+                    if x is not last:
+                        p, q = x.as_integer_ratio()
+                        last = x
+                        lim = 2 * q // abs(p) if p else n  # |m*p| > 2*q iff m > lim
+                    if m > lim:
                         if m > k:
                             yield m - k
                         yield Done(int(p > 0))

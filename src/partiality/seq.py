@@ -54,6 +54,7 @@ from .delay import Delay, Now, _check_fuel
 
 PENDING = Marker("PENDING", __name__)
 _WANT = Marker("_WANT", __name__)  # a producer's ask for the pull's last index
+_PULLING = Marker("_PULLING", __name__)  # a Seq's source while a pull runs
 
 
 class Done(Record):
@@ -130,7 +131,9 @@ class Seq:
     kept; failures, ``MonotonicityError`` and a failing factory included, are
     cached and re-raised with the traceback they first had.  ``_src`` is the
     source until the first pull, then the producer, then ``None`` once the
-    sequence is complete, or the failure once a pull has failed.
+    sequence is complete, or the failure once a pull has failed.  While a
+    pull runs it is a private marker, so a source or producer that reads
+    the sequence it is pulled for fails that pull with a ``ValueError``.
     """
 
     __slots__ = ("_src", "_scanned", "_done", "_done_at")
@@ -155,15 +158,18 @@ class Seq:
         # Pulls cells through index `n`, or only up to the first done cell
         # when `stop_at_done` holds.  A failure in the producer or in the
         # factory that makes it is cached and re-raised on any further pull.
-        if type(self._src) is _Failure:
-            raise self._src.error.with_traceback(self._src.traceback)
+        it = self._src
+        if type(it) is _Failure:
+            raise it.error.with_traceback(it.traceback)
+        if it is _PULLING:
+            raise ValueError("a sequence was read during its own pull")
+        self._src = _PULLING
         k = self._scanned
         done = self._done
         try:
             if k == 0:
-                # no local keeps the source: it may hold what the producer moves past
-                self._src = _steps(self._src) if isinstance(self._src, Delay) else self._src()
-            it = self._src
+                # rebinding `it` keeps no source: it may hold what the producer moves past
+                it = _steps(it) if isinstance(it, Delay) else it()
             while k <= n:
                 p = next(it)
                 if p is _WANT:
@@ -194,6 +200,8 @@ class Seq:
             raise
         finally:
             self._scanned = k
+            if self._src is _PULLING:
+                self._src = it
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,8 @@ def test_the_plain_reader_agrees_with_argparse_on_generated_argv(argv):
         ["run", "1", "--fuel", "1_000"],
         ["run", "vm"],  # a program that is a subcommand's name
         ["search", "search", "run", "--fuel", " 7 "],
+        ["ispositive", "-3/2"],  # a negative operand
+        ["search", "even", "-5:3"],
     ],
 )
 def test_the_plain_reader_reads_what_argparse_reads(argv):
@@ -448,8 +450,8 @@ def test_the_plain_reader_reads_what_argparse_reads(argv):
         ["run", "--fuel", "5", "1"],  # an option before a positional
         ["run", "1", "--fuel", "5", "--fuel", "6"],  # a repeated option
         ["run", "--", "1"],
-        ["ispositive", "-3/2"],  # a negative operand
-        ["search", "even", "-5:3"],
+        ["ispositive", "-3/2", "--fuel", "-1"],  # a negative operand, then a negative fuel
+        ["search", "even", "-5:3x"],  # an operand that is no negative number
         ["run", "1", "--fuel", "-1"],  # a negative fuel
         ["run", "1", "--fuel", "x"],  # an unreadable one
         ["run", "1", "--fuel", ""],
@@ -465,7 +467,8 @@ def test_the_plain_reader_leaves_every_other_argv_to_argparse(argv):
     assert cli._read_plain(argv) is None
 
 
-# the README examples that are plain questions: not `laws`, and no operand or fuel starting with `-`
+# the README examples that are plain questions: not `laws`, and no operand or fuel starting with `-`;
+# `ispositive -1/1` is added to them below
 _README_PLAIN = [
     argv
     for argv, _ in _readme_examples()
@@ -490,14 +493,14 @@ def _parser_builds(monkeypatch, capsys, argv):
     return len(calls)
 
 
-@pytest.mark.parametrize("argv", _README_PLAIN + [("search", "even", "1:1")])
+@pytest.mark.parametrize("argv", _README_PLAIN + [("search", "even", "1:1"), ["ispositive", "-1/1"]])
 def test_a_plain_form_does_not_build_the_parser(monkeypatch, capsys, argv):
     assert _parser_builds(monkeypatch, capsys, argv) == 0
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["--help"], ["laws", "--count", "1"], ["run", "--fuel", "40", r"(\x. x x) (\x. x x)"], ["ispositive", "-1/1"]],
+    [["--help"], ["laws", "--count", "1"], ["run", "--fuel", "40", r"(\x. x x) (\x. x x)"], ["ispositive", "-1/1", "--fuel", "-1"]],
 )
 def test_every_other_form_goes_through_argparse(monkeypatch, capsys, argv):
     assert _parser_builds(monkeypatch, capsys, argv) == 1

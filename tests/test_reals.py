@@ -297,6 +297,77 @@ def test_float_and_int_valued_reals():
     assert seq.converges_within(reals.is_positive(lambda n: 1), 10) == Witness(1, 3)
 
 
+# --- each value object's ratio is read once ---------------------------------
+
+
+class CountedFraction(Fraction):
+    # a Fraction that logs each read of its ratio
+    reads = None
+
+    def as_integer_ratio(self):
+        CountedFraction.reads.append(self)
+        return super().as_integer_ratio()
+
+
+@pytest.fixture
+def reads():
+    CountedFraction.reads = []
+    yield CountedFraction.reads
+    CountedFraction.reads = None
+
+
+@pytest.mark.parametrize(
+    "q, witness",
+    [(0, None), (Fraction(1, 3000), Witness(1, 6001)), (Fraction(-1, 3000), Witness(0, 6001))],
+    ids=["zero", "plus", "minus"],
+)
+def test_a_repeated_value_is_read_once_over_many_pulls(reads, q, witness):
+    x = CountedFraction(q)
+    s = reals.is_positive(lambda n: x)
+    for n in [1, 10, 100, 2500, 6000]:
+        assert seq.converges_within(s, n) is None
+    assert s.at(2500) is PENDING
+    assert seq.converges_within(s, 10**4) == witness
+    assert s.at(10**4) == (PENDING if witness is None else Done(witness.value))
+    assert reads == [x]
+
+
+def test_fresh_equal_values_are_read_at_every_query(reads):
+    calls = []
+
+    def f(n):
+        calls.append(n)
+        return CountedFraction(1, 100)
+
+    s = reals.is_positive(f)
+    assert seq.converges_within(s, 50) is None
+    assert seq.converges_within(s, 500) == Witness(1, 201)
+    assert calls == list(range(1, 202))
+    assert len(reads) == 201
+
+
+@INTEGER_BOUNDS
+@given(rationals(), rationals(), st.lists(st.integers(1, 40), max_size=4))
+def test_alternating_value_objects_give_the_fraction_formula(a, b, pulls):
+    f = lambda n: a if n % 2 else b
+    s = reals.is_positive(f)
+    for n in pulls:
+        s.at(n)
+    # the oracle's cells up to the first done one, which holds from there on
+    cells = [sign_cell_oracle(f, n) for n in range(41)]
+    latch = next((n for n, c in enumerate(cells) if c is not PENDING), 41)
+    assert prefix(s, 41) == cells[:latch] + cells[latch:latch + 1] * (41 - latch)
+
+
+def test_a_none_value_raises_the_error_of_reading_it():
+    with pytest.raises(AttributeError, match="^'NoneType' object has no attribute 'as_integer_ratio'$"):
+        reals.is_positive(lambda n: None).at(1)
+    s = reals.is_positive(lambda n: None if n == 2 else 0)
+    assert s.at(1) is PENDING
+    with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'as_integer_ratio'"):
+        s.at(2)
+
+
 # --- parsing ---------------------------------------------------------------
 
 

@@ -232,6 +232,21 @@ def test_a_record_keeps_the_methods_its_class_defines():
     assert {name: Keyed.__dict__[name] for name in own} == own
 
 
+def test_a_record_class_derives_from_record_itself():
+    class A(Record):
+        __slots__ = ("a",)
+
+    class Mixin:
+        __slots__ = ()
+
+    # a subclass of A would take its fields from its own __slots__ only
+    for bases in [(A,), (Mixin, A), (A, Mixin)]:
+        with pytest.raises(TypeError, match="^record class B derives from record class .*A, whose fields"):
+            type("B", bases, {"__slots__": ("b",)})
+    assert type("B", (Mixin, Record), {"__slots__": ("b",)})(2).b == 2
+    assert A(1) == A(1) and repr(A(1)).endswith("A(a=1)")
+
+
 def test_a_self_containing_record_prints_as_a_dataclass_does():
     items, twin_items = [], []
     x, tx = D.Now(items), TWINS[D.Now](twin_items)

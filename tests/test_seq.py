@@ -234,6 +234,40 @@ def test_a_failure_keeps_no_more_memory_as_it_is_reraised():
     assert kept < 20_000, kept  # a traceback that grew on each re-raise kept 6 MB
 
 
+def _reads_itself_at_once():
+    # an of_delay whose first step reads its own Seq
+    box = []
+    box.append(seq.of_delay(D.Delay(lambda: D.now(box[0].at(0)))))
+    return box[0], 0
+
+
+def _reads_itself_on_a_later_pull():
+    # the step at index 3 reads cells the pull has not reached yet
+    box = []
+    box.append(seq.from_fn(lambda n: box[0].at(n + 1) if n == 3 else PENDING))
+    assert box[0].at(1) is PENDING
+    return box[0], 5
+
+
+def _lub_of_itself():
+    # a lub whose family reads the lub
+    box = []
+    box.append(seq.lub(lambda i: box[0]))
+    return box[0], 0
+
+
+@pytest.mark.parametrize(
+    "make", [_reads_itself_at_once, _reads_itself_on_a_later_pull, _lub_of_itself], ids=["of_delay", "later-pull", "lub"]
+)
+def test_a_sequence_read_during_its_own_pull_is_a_cached_value_error(make):
+    s, n = make()
+    with pytest.raises(ValueError, match="read during its own pull") as raised:
+        s.at(n)
+    with pytest.raises(ValueError) as again:
+        s.at(n + 1)
+    assert again.value is raised.value
+
+
 def test_a_producer_may_yield_a_run_of_pending_cells():
     s = seq.Seq(lambda: iter([5, Done(1)]))
     assert seq.converges_within(s, 2) is None  # the run passes the index asked for
