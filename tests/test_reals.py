@@ -360,11 +360,12 @@ def test_alternating_value_objects_give_the_fraction_formula(a, b, pulls):
 
 
 def test_a_none_value_raises_the_error_of_reading_it():
-    with pytest.raises(AttributeError, match="^'NoneType' object has no attribute 'as_integer_ratio'$"):
+    error = "^'NoneType' object has no attribute 'as_integer_ratio'$"
+    with pytest.raises(AttributeError, match=error):
         reals.is_positive(lambda n: None).at(1)
     s = reals.is_positive(lambda n: None if n == 2 else 0)
     assert s.at(1) is PENDING
-    with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'as_integer_ratio'"):
+    with pytest.raises(AttributeError, match=error):
         s.at(2)
 
 

@@ -244,7 +244,6 @@ def test_a_record_class_derives_from_record_itself():
         with pytest.raises(TypeError, match="^record class B derives from record class .*A, whose fields"):
             type("B", bases, {"__slots__": ("b",)})
     assert type("B", (Mixin, Record), {"__slots__": ("b",)})(2).b == 2
-    assert A(1) == A(1) and repr(A(1)).endswith("A(a=1)")
 
 
 def test_a_self_containing_record_prints_as_a_dataclass_does():

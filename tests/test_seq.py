@@ -236,24 +236,21 @@ def test_a_failure_keeps_no_more_memory_as_it_is_reraised():
 
 def _reads_itself_at_once():
     # an of_delay whose first step reads its own Seq
-    box = []
-    box.append(seq.of_delay(D.Delay(lambda: D.now(box[0].at(0)))))
-    return box[0], 0
+    s = seq.of_delay(D.Delay(lambda: D.now(s.at(0))))
+    return s, 0
 
 
 def _reads_itself_on_a_later_pull():
     # the step at index 3 reads cells the pull has not reached yet
-    box = []
-    box.append(seq.from_fn(lambda n: box[0].at(n + 1) if n == 3 else PENDING))
-    assert box[0].at(1) is PENDING
-    return box[0], 5
+    s = seq.from_fn(lambda n: s.at(n + 1) if n == 3 else PENDING)
+    assert s.at(1) is PENDING
+    return s, 5
 
 
 def _lub_of_itself():
     # a lub whose family reads the lub
-    box = []
-    box.append(seq.lub(lambda i: box[0]))
-    return box[0], 0
+    s = seq.lub(lambda i: s)
+    return s, 0
 
 
 @pytest.mark.parametrize(
