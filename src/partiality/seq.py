@@ -19,25 +19,25 @@ Everything in between is ``UNKNOWN``, which more fuel may still resolve.
 
 Evaluation is lazy, but ``unshift`` takes its argument's first step when
 called.  By monotonicity a scanned prefix is described by the number of cells
-pulled and the first done cell, all a ``Seq`` keeps beside its source (the
-producer once pulled, the failure once a pull fails), so its memory is O(1).
-Every constructor and combinator but ``lub`` builds a ``Delay`` graph, whose
-nesting costs no Python frames, though a scan keeps the nodes of a source the
-caller holds unscanned; ``lub`` and ``reals.is_positive`` are the only
-producers.  ``bottom()`` is one sequence, a finished scan with no done cell,
-so no index makes it pull; it absorbs (``⊥ >>= f = ⊥``): ``shift``,
-``unshift`` and ``bind`` return it as it is.  A producer yields cells in index
-order and may stop right after its first done cell, since every later cell is
-that one; it may not stop before one.  Before that cell it may yield a
-positive ``int`` r for r pending cells in a row, so a run of them costs one
-step; after it, an ``int`` is not monotone.  A producer may also ask how far
-the current pull goes, by yielding the private marker ``_WANT``: it is sent
-the last index the pull needs and answers with its next cell or run, so
-``reals.is_positive`` answers a whole pull in one loop.  Every other resume
-is ``next``, so a producer that never asks is never sent anything.  A
-non-monotone producer raises ``MonotonicityError`` at the offending index.
-Fuel and indices must be integers, or it is a ``TypeError``.  Use from a
-single thread.
+pulled and the first done cell, all a ``Seq`` keeps beside its source: the
+``Delay`` node its scan reached, the producer once pulled, or the failure once
+a pull fails, so its memory is O(1).  Every constructor and combinator but
+``lub`` builds a ``Delay`` graph, whose nesting, scanned or not, costs no
+Python frames, though a scan keeps the nodes of a source the caller holds
+unscanned; ``lub`` and ``reals.is_positive`` are the only producers.
+``bottom()`` is one sequence, a finished scan with no done cell, so no index
+makes it pull; it absorbs (``⊥ >>= f = ⊥``): ``shift``, ``unshift`` and
+``bind`` return it as it is.  A producer yields cells in index order and may
+stop right after its first done cell, since every later cell is that one; it
+may not stop before one.  Before that cell it may yield a positive ``int`` r
+for r pending cells in a row, so a run of them costs one step; after it, an
+``int`` is not monotone.  A producer may also ask how far the current pull
+goes, by yielding the private marker ``_WANT``: it is sent the last index the
+pull needs and answers with its next cell or run, so ``reals.is_positive``
+answers a whole pull in one loop.  Every other resume is ``next``, so a
+producer that never asks is never sent anything.  A non-monotone producer
+raises ``MonotonicityError`` at the offending index.  Fuel and indices must be
+integers, or it is a ``TypeError``.  Use from a single thread.
 """
 
 from __future__ import annotations
@@ -130,10 +130,10 @@ class Seq:
     the count of cells pulled and the first done cell with its index are
     kept; failures, ``MonotonicityError`` and a failing factory included, are
     cached and re-raised with the traceback they first had.  ``_src`` is the
-    source until the first pull, then the producer, then ``None`` once the
-    sequence is complete, or the failure once a pull has failed.  While a
-    pull runs it is a private marker, so a source or producer that reads
-    the sequence it is pulled for fails that pull with a ``ValueError``.
+    node a ``Delay`` scan has reached, or a factory, then its producer; it is
+    ``None`` once the sequence is complete and the failure once a pull fails.
+    While a pull runs it is a private marker, so a source or producer that
+    reads the sequence it is pulled for fails that pull with a ``ValueError``.
     """
 
     __slots__ = ("_src", "_scanned", "_done", "_done_at")
@@ -155,9 +155,8 @@ class Seq:
         return self._done if n >= self._done_at else PENDING
 
     def _pull(self, n: int, stop_at_done: bool) -> None:
-        # Pulls cells through index `n`, or only up to the first done cell
-        # when `stop_at_done` holds.  A failure in the producer or in the
-        # factory that makes it is cached and re-raised on any further pull.
+        # Pulls cells through `n`, or to the first done cell if `stop_at_done`.
+        # A failing step, producer or factory is cached, and re-raised by later pulls.
         it = self._src
         if type(it) is _Failure:
             raise it.error.with_traceback(it.traceback)
@@ -167,9 +166,16 @@ class Seq:
         k = self._scanned
         done = self._done
         try:
-            if k == 0:
-                # rebinding `it` keeps no source: it may hold what the producer moves past
-                it = _steps(it) if isinstance(it, Delay) else it()
+            if isinstance(it, Delay):  # `it` is the node k steps in; none behind it is kept
+                try:
+                    while k <= n and type(it := it._next()) is not Now:
+                        k += 1
+                except StopIteration as stop:  # a failing step, not a finished producer
+                    raise RuntimeError("a step raised StopIteration") from stop
+                if k <= n:  # `it` is the value's Now: the sequence is complete
+                    self._done, self._done_at, k, it = Done(it.value), k, inf, None
+            elif k == 0:
+                it = it()  # the producer: rebinding `it` keeps no source it moves past
             while k <= n:
                 p = next(it)
                 if p is _WANT:
@@ -251,13 +257,6 @@ def unshift(s: Seq) -> Seq:
 # conversions to and from Delay
 
 
-def _steps(d: Delay) -> Iterator:
-    # Advances its own local, so only the current step stays reachable.
-    while type(d := d._next()) is not Now:
-        yield PENDING
-    yield Done(d.value)
-
-
 def of_delay(d: Delay) -> Seq:
     """The sequence view of a delayed computation.
 
@@ -270,9 +269,15 @@ def of_delay(d: Delay) -> Seq:
 
 
 def to_delay(s: Seq) -> Delay:
-    """The delayed view of a sequence, one step per pending cell: the
-    ``Delay`` behind ``s`` while it is unscanned, else ``from_fn`` over ``s.at``."""
-    return s._src if isinstance(s._src, Delay) else to_delay(from_fn(s.at))
+    """The delayed view of a sequence, one step per pending cell: while its
+    source is a ``Delay``, the node its scan reached behind a step per cell
+    scanned (so an unscanned ``s`` gives its ``Delay``), else ``from_fn`` over ``s.at``."""
+    return _behind(s._scanned, s._src) if isinstance(s._src, Delay) else from_fn(s.at)._src
+
+
+def _behind(k: int, d: Delay) -> Delay:
+    # `k` steps, then `d`, each node built as the one before is stepped; never() stays itself
+    return d if k == 0 or d is D.never() else Delay(lambda: _behind(k - 1, d))
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,30 @@ def test_a_sequence_read_during_its_own_pull_is_a_cached_value_error(make):
     assert again.value is raised.value
 
 
+def _stops(*args):
+    raise StopIteration
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: seq.of_delay(D.later(D.Delay(_stops))),
+        lambda: seq.from_fn(lambda n: PENDING if n < 3 else _stops()),
+        lambda: seq.bind(seq.shift(seq.unit(1)), _stops),
+    ],
+    ids=["of_delay", "from_fn", "bind"],
+)
+def test_a_step_that_raises_stop_iteration_is_a_cached_runtime_error(make):
+    # a StopIteration from a step is a failure, not a source that has ended
+    s = make()
+    with pytest.raises(RuntimeError) as raised:
+        s.at(5)
+    assert type(raised.value.__cause__) is StopIteration
+    with pytest.raises(RuntimeError) as again:
+        seq.converges_within(s, 6)
+    assert again.value is raised.value
+
+
 def test_a_producer_may_yield_a_run_of_pending_cells():
     s = seq.Seq(lambda: iter([5, Done(1)]))
     assert seq.converges_within(s, 2) is None  # the run passes the index asked for
@@ -803,6 +827,24 @@ def test_left_nested_bind_is_stack_safe():
 
 def test_deep_shift_is_stack_safe():
     assert seq.converges_within(shift_n(seq.unit(7), 2048), 2048) == Witness(7, 2048)
+
+
+@pytest.mark.parametrize(
+    "start, level, fuel, answer",
+    [
+        (lambda: seq.unit(0), seq.shift, 10**5, Witness(0, 10**5)),
+        (lambda: seq.unit(0), lambda s: seq.unshift(seq.shift(seq.shift(s))), 10**5, Witness(0, 10**5)),
+        # a left-nested bind tower costs a node per level per step, so its fuel stays small
+        (_never_str, lambda s: seq.bind(s, seq.unit), 5, None),
+    ],
+    ids=["shift", "unshift", "bind"],
+)
+def test_a_tower_over_scanned_sequences_answers_at_any_depth(start, level, fuel, answer):
+    s = start()
+    for _ in range(10**5):
+        s = level(s)
+        s.at(0)  # each level is scanned before the next is built on it
+    assert seq.converges_within(s, fuel) == answer
 
 
 def test_shared_bind_chain_runs_each_continuation_once():
