@@ -41,17 +41,8 @@ class Record:
             if base is not Record and issubclass(base, Record):
                 raise TypeError(f"record class {cls.__qualname__} derives from record class "
                                 f"{base.__qualname__}, whose fields it would drop")
-        fields = cls.__slots__
-        ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
-        exec(
-            f"def __init__(self, {', '.join(fields)}):\n"
-            + ("".join(f"    _set_{f}(self, {f})\n" for f in fields) or "    pass\n"),
-            ns,
-        )
-        cls.__match_args__ = fields
-        if "__init__" not in cls.__dict__:
-            ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-            cls.__init__ = ns["__init__"]
+        cls.__match_args__ = cls.__slots__
+        _write(cls, "__init__")
 
     def __eq__(self, other):
         return _write(self.__class__, "__eq__")(self, other)
@@ -76,7 +67,14 @@ def _write(cls, name: str):
     """Compile the method ``name`` for the fields of the record class ``cls``,
     install it on ``cls`` unless the class defines its own, and return it."""
     fields = cls.__match_args__
-    if name == "__eq__":
+    ns = {"_get_ident": get_ident, "_shown": _shown, "_show": _show}
+    if name == "__init__":  # each field stored through its slot descriptor
+        ns.update((f"_set_{f}", getattr(cls, f).__set__) for f in fields)
+        source = (
+            f"def __init__(self, {', '.join(fields)}):\n"
+            + ("".join(f"    _set_{f}(self, {f})\n" for f in fields) or "    pass\n")
+        )
+    elif name == "__eq__":
         source = (
             "def __eq__(self, other):\n"
             "    if other.__class__ is not self.__class__:\n"
@@ -106,7 +104,6 @@ def _write(cls, name: str):
             "    finally:\n"
             "        _shown.discard(key)\n"
         )
-    ns = {"_get_ident": get_ident, "_shown": _shown, "_show": _show}
     exec(source, ns)
     method = ns[name]
     method.__qualname__ = f"{cls.__qualname__}.{name}"

@@ -37,12 +37,12 @@ pull needs and answers with its next cell or run, so ``reals.is_positive``
 answers a whole pull in one loop.  Every other resume is ``next``, so a
 producer that never asks is never sent anything.  A non-monotone producer
 raises ``MonotonicityError`` at the offending index.  Fuel and indices must be
-integers, or it is a ``TypeError``.  Use from a single thread.
+integers, or it is a ``TypeError``, and not negative, or it is a ``ValueError``.
+Use from a single thread.
 """
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from math import inf, isqrt
 from typing import Any, Callable, Iterator, Optional
@@ -147,9 +147,7 @@ class Seq:
     def at(self, n: int):
         """The cell at index ``n`` (``Done(value)`` or ``PENDING``)."""
         if type(n) is not int or not 0 <= n < self._scanned:
-            n = operator.index(n)
-            if n < 0:
-                raise IndexError("negative index")
+            n = _check_fuel(n, "index")
             if n >= self._scanned:
                 self._pull(n, False)
         return self._done if n >= self._done_at else PENDING
@@ -232,12 +230,7 @@ def from_fn(fn: Callable[[int], Any]) -> Seq:
     """Wrap an arbitrary index function into a monotone sequence: a ``Delay``
     step chain, a node per pending index and ``Now(value)`` at the first done
     one, so ``fn`` is called at 0, 1, ... in order and not past that index."""
-
-    def step(n: int) -> "Now | Delay":
-        p = fn(n)
-        return Delay(lambda: step(n + 1)) if p is PENDING else Now(p.value)
-
-    return Seq(Delay(lambda: step(0)))
+    return Seq(_cells(fn, 0))
 
 
 def shift(s: Seq) -> Seq:
@@ -271,13 +264,18 @@ def of_delay(d: Delay) -> Seq:
 def to_delay(s: Seq) -> Delay:
     """The delayed view of a sequence, one step per pending cell: while its
     source is a ``Delay``, the node its scan reached behind a step per cell
-    scanned (so an unscanned ``s`` gives its ``Delay``), else ``from_fn`` over ``s.at``."""
-    return _behind(s._scanned, s._src) if isinstance(s._src, Delay) else from_fn(s.at)._src
+    scanned (so an unscanned ``s`` gives its ``Delay``), else ``_cells`` over ``s.at``."""
+    return _behind(s._scanned, s._src) if isinstance(s._src, Delay) else _cells(s.at, 0)
 
 
 def _behind(k: int, d: Delay) -> Delay:
     # `k` steps, then `d`, each node built as the one before is stepped; never() stays itself
     return d if k == 0 or d is D.never() else Delay(lambda: _behind(k - 1, d))
+
+
+def _cells(fn: Callable[[int], Any], n: int) -> Delay:
+    # a step per pending cell of `fn` from index `n`, then `Now` at its first done one
+    return Delay(lambda: _cells(fn, n + 1) if (p := fn(n)) is PENDING else Now(p.value))
 
 
 # ---------------------------------------------------------------------------

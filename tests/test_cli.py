@@ -14,6 +14,7 @@ import partiality
 from partiality import cli, lang, seq
 from partiality.cli import main
 from partiality.delay import TIMEOUT
+import cli_answers
 from helpers import run_main
 
 
@@ -345,6 +346,12 @@ def test_the_readme_examples_print_the_answers_they_show(capsys):
             assert run_cli(capsys, *argv) == (_ANSWER_CODES[kind], answer + "\n", "")
             answered += 1
     assert answered
+
+
+def test_each_argv_of_the_answer_corpus_prints_the_bytes_it_holds():
+    # tests/data/cli_answers.jsonl, which `python tests/cli_answers.py` rewrites
+    wrong = [shlex.join(line["argv"])[:80] for line in cli_answers.read() if cli_answers.answer(line["argv"]) != line]
+    assert wrong == []
 
 
 # --- the contract on generated argv --------------------------------------------

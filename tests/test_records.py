@@ -212,6 +212,13 @@ def test_a_record_keeps_the_methods_its_class_defines():
         def __hash__(self):
             return hash(self.key) + 1
 
+    class Made(Record):
+        __slots__ = ("a", "b")
+
+        def __init__(self, a):
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", -a)
+
     own = {name: Keyed.__dict__[name] for name in ("__eq__", "__hash__")}
     x = Shown(1, b=[2])
     assert repr(x) == "shown" and x == Shown(1, [2]) and x != Shown(1, [3])
@@ -230,6 +237,13 @@ def test_a_record_keeps_the_methods_its_class_defines():
     assert Record.__eq__(k, Keyed(1, "b")) is False and Record.__hash__(k) == hash((1, "a"))
     assert k == Keyed(1, "b") and hash(k) == hash(1) + 1
     assert {name: Keyed.__dict__[name] for name in own} == own
+    # Made's own __init__, and the other methods written for its fields on first use
+    init = Made.__dict__["__init__"]
+    m = Made(2)
+    assert Made.__init__ is init and Made.__match_args__ == ("a", "b") and (m.a, m.b) == (2, -2)
+    assert m == Made(2) and m != Made(3) and hash(m) == hash((2, -2))
+    assert repr(m) == f"{Made.__qualname__}(a=2, b=-2)" and Made.__dict__["__init__"] is init
+    assert all(name in Made.__dict__ for name in ("__eq__", "__hash__", "__repr__"))
 
 
 def test_a_record_class_derives_from_record_itself():

@@ -493,6 +493,21 @@ def test_an_index_is_checked_however_far_the_sequence_was_scanned():
     assert t.at(True) is PENDING and u.at(True) == Done(1)
 
 
+def test_a_negative_index_is_a_value_error_as_in_cantor_pair():
+    with pytest.raises(ValueError) as pair:
+        seq.cantor_pair(-1, 0)
+    t = seq.of_delay(D.map(D.never(), str))
+    t.at(3)
+    for s in (seq.unit(1), t, seq.bottom(), seq.from_fn(lambda n: PENDING)):
+        with pytest.raises(ValueError, match="^negative index: -1$") as at:
+            s.at(-1)
+        assert str(at.value) == str(pair.value)
+        with pytest.raises(ValueError, match="^negative index: -"):
+            s.at(-(10**5000))
+    # a refused index fails no pull
+    assert t.at(0) is PENDING and seq.converges_within(seq.unit(1), 0) == Witness(1, 0)
+
+
 def test_to_delay_is_the_source_only_before_a_pull():
     d = D.later(D.later(D.now(4)))
     s = seq.of_delay(d)
@@ -500,6 +515,16 @@ def test_to_delay_is_the_source_only_before_a_pull():
     s.at(0)
     assert seq.to_delay(s) is not d
     assert D.run_fuel(seq.to_delay(s), 5) == D.run_fuel(d, 5) == D.Converged(4, 2)
+
+
+def test_to_delay_of_a_failed_sequence_reraises_its_failure_past_the_cells_it_pulled():
+    s = seq.Seq(lambda: iter([PENDING, PENDING]))
+    with pytest.raises(RuntimeError) as first:
+        s.at(5)
+    assert D.run_fuel(seq.to_delay(s), 1) is D.TIMEOUT
+    with pytest.raises(RuntimeError) as again:
+        D.run_fuel(seq.to_delay(s), 10)
+    assert again.value is first.value
 
 
 def test_to_delay_counts_pending_as_steps():
