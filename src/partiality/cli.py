@@ -18,7 +18,6 @@ same way, so the output, help and usage errors are the same bytes either way.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import random
 import re
@@ -312,7 +311,6 @@ _QUESTIONS = {
 }
 
 
-@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="partiality")
     sub = p.add_subparsers(dest="command", required=True)

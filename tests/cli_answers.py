@@ -1,39 +1,108 @@
-"""The CLI answer corpus: what ``partiality`` prints for a fixed list of argv.
+"""The CLI answer corpus: what ``partiality`` prints for every argv the tests pin.
 
-``tests/data/cli_answers.jsonl`` holds one JSON line per argv: the argv, its
-exit code, and the SHA-256 of its stdout and of its stderr (UTF-8).
-``test_cli.py`` replays every line.  This script answers the argv the
-corpus holds again and writes the lines out, for a change that means to alter
-what some of them print, or to compare Python versions::
+``tests/data/cli_answers.jsonl`` holds one JSON line per argv: the argv or,
+for a generated one, its draw number; its exit code; and the SHA-256 of its
+stdout and of its stderr (UTF-8).  It holds 81 fixed argv and then the
+``DRAWS`` seeded ones, draw ``i`` being ``draw(i)``, so a line stays short
+when its argv is a 60 KB program or a 4 400-digit operand.  ``test_cli.py``
+replays every line.  This script answers the argv the corpus holds again and
+writes the lines out, for a change that means to alter what some of them
+print, to change the draw, or to compare Python versions::
 
     PYTHONPATH=src python tests/cli_answers.py [OUT]
 
 It writes to the file OUT, ``-`` for stdout, or over the corpus by default.
-It needs no pytest.
+It needs no pytest and no hypothesis.
 """
 
 import contextlib
 import hashlib
 import json
 import os
+import random
+import re
 import sys
 from unittest import mock
 
+from partiality import lang
 from helpers import run_main
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_answers.jsonl")
+DRAWS = 500
+NINES = "9" * 4400  # past the 4 300 digits Python's int-text conversion allows
+_DEEP = 10**4
+_PARTS = ["", "0", "3", "-4", NINES, "-" + NINES, "x"]
+
+# each choice a draw makes, by name, with the options it picks from; an option
+# listed more than once is picked more often
+CHOICES = {
+    "command": ["run", "vm", "compile", "ispositive", "search"],
+    "mutation": ["none", "truncate", "stray", "huge"] * 3 + ["deep"],  # a deep argv takes up to 50 ms
+    "stray": ["(", ")", "\\", ".", "x", "#", "-", "é", "\x00", " ", "9"],
+    "predicate": ["even", "odd", "gt", "ge", "lt", "le", "eq", "prime"],
+    "part": _PARTS,
+    "suffix": [None] * len(_PARTS) + _PARTS,  # a predicate's argument or a stream's step, absent half the time
+    "denominator": [None] * 6 + ["0", "1", "7", NINES, "-3", ""],
+    # fuel of at most 10**4 keeps every search far from the depth `lfp` reaches (ROADMAP item 3)
+    "fuel": [None] * 3 + ["-1", "0", "1", "17", str(10**4), "x", "1.5", "", "1e3"],
+}
 
 
-def _sha(text: str) -> str:
+def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def answer(argv: list) -> dict:
-    """The corpus line for ``argv``, with help text wrapped at 80 columns,
-    whatever the terminal."""
+def _mutate(text: str, how: str, at: int, char: str) -> str:
+    cut = at % (len(text) + 1)
+    if how == "truncate":
+        return text[:cut]
+    if how == "stray":
+        return text[:cut] + char + text[cut:]
+    if how == "huge":  # every literal past the 4 300 digits of int-text conversion
+        return re.sub(r"\d+", NINES, text) if re.search(r"\d", text) else f"suc {NINES}"
+    if how == "deep":
+        return "suc (" * _DEEP + text + ")" * _DEEP if at % 2 else "(" * _DEEP + text + " 0)" * _DEEP
+    return text
+
+
+def draw(i: int, seen: set | None = None) -> list:
+    """Generated argv number ``i``, drawn from ``random.Random(i)``; each
+    choice it makes is added to ``seen`` as ``(name, option)``."""
+    rng = random.Random(i)
+
+    def pick(name):
+        option = rng.choice(CHOICES[name])
+        if seen is not None:
+            seen.add((name, option))
+        return option
+
+    def joined(head, sep, tail):
+        return head if tail is None else f"{head}{sep}{tail}"
+
+    command = pick("command")
+    if command in ("run", "vm", "compile"):
+        text = lang.show(lang.gen_term(rng.randrange(2**16), rng.randrange(11)))
+        how = pick("mutation")
+        operands = [_mutate(text, how, rng.randrange(2**16), pick("stray") if how == "stray" else "")]
+    elif command == "ispositive":
+        operands = [joined(pick("part"), "/", pick("denominator"))]
+    else:
+        operands = [joined(pick("predicate"), ":", pick("suffix")), joined(pick("part"), ":", pick("suffix"))]
+    fuel = None if command == "compile" else pick("fuel")
+    return [command, *operands, *([] if fuel is None else ["--fuel", fuel])]
+
+
+def argv(line: dict) -> list:
+    return line["argv"] if "argv" in line else draw(line["draw"])
+
+
+def answer(line: dict) -> dict:
+    """The corpus line for the argv or draw of ``line``, with help text
+    wrapped at 80 columns, whatever the terminal."""
+    key = "argv" if "argv" in line else "draw"
     with mock.patch.dict(os.environ, COLUMNS="80"):
-        code, out, err = run_main(argv)
-    return {"argv": argv, "code": code, "stdout": _sha(out), "stderr": _sha(err)}
+        code, out, err = run_main(argv(line))
+    return {key: line[key], "code": code, "stdout": sha(out), "stderr": sha(err)}
 
 
 def read() -> list:
@@ -42,7 +111,8 @@ def read() -> list:
 
 
 def main(out: str = CORPUS) -> None:
-    lines = [json.dumps(answer(entry["argv"])) + "\n" for entry in read()]
+    keys = [{"argv": line["argv"]} for line in read() if "argv" in line] + [{"draw": i} for i in range(DRAWS)]
+    lines = [json.dumps(answer(key)) + "\n" for key in keys]
     with open(out, "w", encoding="utf-8") if out != "-" else contextlib.nullcontext(sys.stdout) as f:
         f.writelines(lines)
 

@@ -1,20 +1,19 @@
 import argparse
 import gc
 import os
-import re
 import shlex
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import partiality
-from partiality import cli, lang, seq
+from partiality import cli, seq
 from partiality.cli import main
 from partiality.delay import TIMEOUT
 import cli_answers
+from cli_answers import NINES
 from helpers import run_main
 
 
@@ -116,9 +115,6 @@ _SUITES = ["order-laws", "unit-injective", "flat-order", "monad-laws", "roundtri
 def _all_laws_pass(count):
     # what `laws` prints when every suite passes all of its `count` cases
     return "".join(f"{name}: {count}/{count}\n" for name in _SUITES) + "all suites passed\n"
-
-
-NINES = "9" * 4400  # past the 4 300 digits Python's int-text conversion allows
 
 
 @pytest.mark.parametrize(
@@ -291,6 +287,7 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # a plain form builds none; an argv that argparse reads builds one per call
     assert run_cli(capsys, "search", "even", "1:1") == run_cli(capsys, "search", "even", "1:1")
     assert built.count("partiality") <= 1
 
@@ -349,67 +346,35 @@ def test_the_readme_examples_print_the_answers_they_show(capsys):
 
 
 def test_each_argv_of_the_answer_corpus_prints_the_bytes_it_holds():
-    # tests/data/cli_answers.jsonl, which `python tests/cli_answers.py` rewrites
-    wrong = [shlex.join(line["argv"])[:80] for line in cli_answers.read() if cli_answers.answer(line["argv"]) != line]
+    # tests/data/cli_answers.jsonl, fixed and generated, which `python tests/cli_answers.py` rewrites
+    wrong = [shlex.join(cli_answers.argv(line))[:80] for line in cli_answers.read() if cli_answers.answer(line) != line]
     assert wrong == []
 
 
 # --- the contract on generated argv --------------------------------------------
 
-_DEEP = 10**4
+
+def test_every_corpus_line_keeps_the_exit_code_contract():
+    # what the corpus holds, fixed and generated: stderr is written only for bad input
+    lines, empty = cli_answers.read(), cli_answers.sha("")
+    assert [line for line in lines if line["code"] not in (0, 1, 2, 3) or line["code"] != 1 and line["stderr"] != empty] == []
+    assert [line["draw"] for line in lines if "draw" in line] == list(range(cli_answers.DRAWS))
 
 
-def _mutate(text: str, how: str, at: int, char: str) -> str:
-    cut = at % (len(text) + 1)
-    if how == "truncate":
-        return text[:cut]
-    if how == "stray":
-        return text[:cut] + char + text[cut:]
-    if how == "huge":  # every literal past the 4 300 digits of int-text conversion
-        return re.sub(r"\d+", NINES, text) if re.search(r"\d", text) else f"suc {NINES}"
-    if how == "deep":
-        return "suc (" * _DEEP + text + ")" * _DEEP if at % 2 else "(" * _DEEP + text + " 0)" * _DEEP
-    return text
+def test_the_seeded_draw_takes_every_choice():
+    seen = set()
+    for i in range(cli_answers.DRAWS):
+        cli_answers.draw(i, seen)
+    assert seen == {(name, option) for name, options in cli_answers.CHOICES.items() for option in options}
 
 
-_PROGRAM = st.builds(
-    _mutate,
-    st.builds(lambda seed, size: lang.show(lang.gen_term(seed, size)), st.integers(0, 2**16), st.integers(0, 10)),
-    st.sampled_from(["none", "truncate", "stray", "huge"] * 3 + ["deep"]),  # a deep call takes up to 50 ms
-    st.integers(0, 2**16),
-    st.sampled_from(["(", ")", "\\", ".", "x", "#", "-", "é", "\x00", " ", "9"]),
-)
-_PART = st.sampled_from(["", "0", "3", "-4", NINES, "-" + NINES, "x"])
-_PREDICATE = st.builds(
-    lambda name, part: name if part is None else f"{name}:{part}",
-    st.sampled_from(["even", "odd", "gt", "ge", "lt", "le", "eq", "prime"]),
-    st.one_of(st.none(), _PART),
-)
-_STREAM = st.builds(lambda a, d: a if d is None else f"{a}:{d}", _PART, st.one_of(st.none(), _PART))
-_RATIONAL = st.builds(
-    lambda p, q: p if q is None else f"{p}/{q}", _PART, st.one_of(st.none(), st.sampled_from(["0", "1", "7", NINES, "-3", ""]))
-)
-_FUEL_ARGS = st.one_of(
-    st.just([]),
-    st.sampled_from(["-1", "0", "1", "17", str(10**4)]).map(lambda f: ["--fuel", f]),
-    st.sampled_from(["x", "1.5", "", "1e3"]).map(lambda f: ["--fuel", f]),
-)
-_ARGV = st.one_of(
-    st.tuples(st.sampled_from(["run", "vm"]), _PROGRAM, _FUEL_ARGS).map(lambda a: [a[0], a[1], *a[2]]),
-    _PROGRAM.map(lambda p: ["compile", p]),
-    st.tuples(_RATIONAL, _FUEL_ARGS).map(lambda a: ["ispositive", a[0], *a[1]]),
-    st.tuples(_PREDICATE, _STREAM, _FUEL_ARGS).map(lambda a: ["search", a[0], a[1], *a[2]]),
-)
-
-
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(_ARGV)
-def test_generated_argv_keeps_the_exit_code_contract(argv):
-    # fuel of at most 10**4 keeps every search far from the depth `lfp` reaches
-    code, _, err = first = run_main(argv)  # any exception but argparse's SystemExit fails it
-    assert code in (0, 1, 2, 3)
-    assert err == "" or code == 1
-    assert run_main(argv) == first
+def test_generated_argv_keeps_the_exit_code_contract():
+    for i in range(cli_answers.DRAWS):
+        argv = cli_answers.draw(i)
+        code, _, err = first = run_main(argv)  # any exception but argparse's SystemExit fails it
+        assert code in (0, 1, 2, 3), i
+        assert err == "" or code == 1, i
+        assert run_main(argv) == first, i
 
 
 # --- the plain forms that main reads without argparse ------------------------
@@ -422,10 +387,9 @@ def _agrees_with_argparse(argv):
     return args
 
 
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(_ARGV)
-def test_the_plain_reader_agrees_with_argparse_on_generated_argv(argv):
-    _agrees_with_argparse(argv)
+def test_the_plain_reader_agrees_with_argparse_on_generated_argv():
+    for i in range(cli_answers.DRAWS):
+        _agrees_with_argparse(cli_answers.draw(i))
 
 
 @pytest.mark.parametrize(
@@ -500,7 +464,15 @@ def _parser_builds(monkeypatch, capsys, argv):
     return len(calls)
 
 
-@pytest.mark.parametrize("argv", _README_PLAIN + [("search", "even", "1:1"), ["ispositive", "-1/1"]])
+# the three shapes the benchmark sends, so that its calls never build the parser
+_BENCHMARK_PLAIN = [
+    ["vm", r"(\x. x) 1", "--fuel", "256"],
+    ["search", "ge:3", "-7:2", "--fuel", "1024"],
+    ["ispositive", "-3/7", "--fuel", "200"],
+]
+
+
+@pytest.mark.parametrize("argv", _README_PLAIN + [("search", "even", "1:1"), ["ispositive", "-1/1"]] + _BENCHMARK_PLAIN)
 def test_a_plain_form_does_not_build_the_parser(monkeypatch, capsys, argv):
     assert _parser_builds(monkeypatch, capsys, argv) == 0
 
