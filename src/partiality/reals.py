@@ -122,7 +122,7 @@ def equiv_within(f: Real, g: Real, fuel: int) -> bool:
     return True
 
 
-_RAT = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RAT = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: str) -> Rational:
@@ -131,7 +131,7 @@ def parse_rational(text: str) -> Rational:
     Stricter than ``Fraction``'s own parser on purpose: no floats, no
     whitespace, no exponent forms — the CLI grammar stays predictable.
     """
-    m = _RAT.match(text)
+    m = _RAT.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
     num = _read_int(m.group(1))

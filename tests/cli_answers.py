@@ -2,12 +2,14 @@
 
 ``tests/data/cli_answers.jsonl`` holds one JSON line per argv: the argv or,
 for a generated one, its draw number; its exit code; and the SHA-256 of its
-stdout and of its stderr (UTF-8).  It holds 81 fixed argv and then the
+stdout and of its stderr (UTF-8).  It holds 86 fixed argv and then the
 ``DRAWS`` seeded ones, draw ``i`` being ``draw(i)``, so a line stays short
-when its argv is a 60 KB program or a 4 400-digit operand.  ``test_cli.py``
-replays every line.  This script answers the argv the corpus holds again and
-writes the lines out, for a change that means to alter what some of them
-print, to change the draw, or to compare Python versions::
+when its argv is a 60 KB program or a 4 400-digit operand.  ``draw`` is the
+one generator of every CLI argv the tests use.  ``test_cli.py`` replays
+every line, asking each argv twice.  This script answers the argv the
+corpus holds again and writes the lines out, for a change that means to
+alter what some of them print, to change the draw, or to compare Python
+versions::
 
     PYTHONPATH=src python tests/cli_answers.py [OUT]
 
@@ -31,20 +33,34 @@ CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_a
 DRAWS = 500
 NINES = "9" * 4400  # past the 4 300 digits Python's int-text conversion allows
 _DEEP = 10**4
-_PARTS = ["", "0", "3", "-4", NINES, "-" + NINES, "x"]
+_PARTS = ["", "0", "3", "-4", NINES, "-" + NINES, "x", "0.5", "1e3"]
+# no program `.` or `..`, so no `.` here or among the soup tokens: each names a directory, which `run`
+# tries to read as the program's file, so its answer would pin this OS's errno text
+_HOSTILE = [
+    r"(\x. x) 5", r"(\x. x x) (\x. x x)", r"(\f. f f) (\f. suc (f f))",
+    r"(\x. (\y. 3) (x (x x))) (\x. 0 (x x 3))", "1 2", r"\x. x", "suc " * 60 + "0",
+    "(1", "", " ", "#0", "\\", "suc", ")(", "é", "\x00", "-",
+]
 
 # each choice a draw makes, by name, with the options it picks from; an option
 # listed more than once is picked more often
 CHOICES = {
-    "command": ["run", "vm", "compile", "ispositive", "search"],
+    "command": ["run", "vm", "compile", "ispositive", "search", "laws", "junk"],  # junk: 0-5 junk tokens
+    "program": ["term"] * 4 + ["hostile"] * 2 + ["soup"],  # a soup is 0-24 soup tokens
     "mutation": ["none", "truncate", "stray", "huge"] * 3 + ["deep"],  # a deep argv takes up to 50 ms
     "stray": ["(", ")", "\\", ".", "x", "#", "-", "é", "\x00", " ", "9"],
-    "predicate": ["even", "odd", "gt", "ge", "lt", "le", "eq", "prime"],
+    "hostile": _HOSTILE,
+    "soup token": ["\\", "x", "y", "(", ")", "suc", "0", "7", " ", "#", "-"],
+    "predicate": ["even", "odd", "gt", "ge", "lt", "le", "eq", "prime", ""],
     "part": _PARTS,
     "suffix": [None] * len(_PARTS) + _PARTS,  # a predicate's argument or a stream's step, absent half the time
     "denominator": [None] * 6 + ["0", "1", "7", NINES, "-3", ""],
+    "seed": ["0", "-7", "10" * 12, "x"],
+    "count": ["0", "1", "2", "-1", "x"],
+    "junk token": ["run", "vm", "laws", "-h", "--help", "--", "--fuel", "--bogus", "-x", "0", "", "é"],
+    "fuel form": [None] * 4 + ["--fuel F"] * 4 + ["--fuel=F", "--fuel"],
     # fuel of at most 10**4 keeps every search far from the depth `lfp` reaches (ROADMAP item 3)
-    "fuel": [None] * 3 + ["-1", "0", "1", "17", str(10**4), "x", "1.5", "", "1e3"],
+    "fuel": ["-1", "-0", "0", "1", "+3", "17", "40", "300", str(10**4), "1_0", "0x10", "١٢", "x", "1.5", "", "1e3"],
 }
 
 
@@ -80,16 +96,31 @@ def draw(i: int, seen: set | None = None) -> list:
         return head if tail is None else f"{head}{sep}{tail}"
 
     command = pick("command")
+    if command == "junk":
+        return [pick("junk token") for _ in range(rng.randrange(6))]
+    if command == "laws":
+        return ["laws", "--seed", pick("seed"), "--count", pick("count")]
     if command in ("run", "vm", "compile"):
-        text = lang.show(lang.gen_term(rng.randrange(2**16), rng.randrange(11)))
-        how = pick("mutation")
-        operands = [_mutate(text, how, rng.randrange(2**16), pick("stray") if how == "stray" else "")]
+        source = pick("program")
+        if source == "term":
+            text = lang.show(lang.gen_term(rng.randrange(2**16), rng.randrange(11)))
+            how = pick("mutation")
+            text = _mutate(text, how, rng.randrange(2**16), pick("stray") if how == "stray" else "")
+        elif source == "hostile":
+            text = pick("hostile")
+        else:
+            text = "".join(pick("soup token") for _ in range(rng.randrange(25)))
+        operands = [text]
     elif command == "ispositive":
         operands = [joined(pick("part"), "/", pick("denominator"))]
     else:
         operands = [joined(pick("predicate"), ":", pick("suffix")), joined(pick("part"), ":", pick("suffix"))]
-    fuel = None if command == "compile" else pick("fuel")
-    return [command, *operands, *([] if fuel is None else ["--fuel", fuel])]
+    form = pick("fuel form")  # compile takes no fuel, so each form there is a usage error
+    if form == "--fuel F":
+        return [command, *operands, "--fuel", pick("fuel")]
+    if form == "--fuel=F":
+        return [command, *operands, "--fuel=" + pick("fuel")]
+    return [command, *operands, *([] if form is None else [form])]
 
 
 def argv(line: dict) -> list:

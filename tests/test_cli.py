@@ -1,4 +1,3 @@
-import argparse
 import gc
 import os
 import shlex
@@ -161,6 +160,22 @@ def test_laws_take_a_big_seed(capsys):
     assert first[0] == 0 and first == run_cli(capsys, "laws", "--seed", NINES, "--count", "1")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", r"(\x. x) 5", "--fuel", "9" * 40], 0),
+        (["vm", r"(\x. x) 5", "--fuel", "9" * 40], 0),
+        (["ispositive", "1/" + "9" * 30, "--fuel", "2"], 2),
+        (["search", "ge:" + "9" * 30, "0", "--fuel", "3"], 2),
+        (["search", "even", "-" + "9" * 30 + ":" + "9" * 30], 0),
+    ],
+)
+def test_cli_huge_numbers_are_answers(argv, code):
+    first = run_main(argv)
+    assert first[0] == code
+    assert run_main(argv) == first
+
+
 def test_out_of_fuel_reports_print_a_big_fuel_in_full(capsys):
     fuel = 10**4400
     assert cli._report_run(TIMEOUT, fuel) == 2 and cli._report_witness(seq.bottom(), fuel, str) == 2
@@ -278,20 +293,6 @@ def test_timeout_memory_does_not_grow_with_fuel(capsys, command):
     assert peak(10**4) < 2 * peak(10**3) + 4096
 
 
-def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    # a plain form builds none; an argv that argparse reads builds one per call
-    assert run_cli(capsys, "search", "even", "1:1") == run_cli(capsys, "search", "even", "1:1")
-    assert built.count("partiality") <= 1
-
-
 def test_laws_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_LAWS", [("always-fails", lambda rng: False)])
     code, out, err = run_cli(capsys, "laws", "--count", "3")
@@ -346,8 +347,13 @@ def test_the_readme_examples_print_the_answers_they_show(capsys):
 
 
 def test_each_argv_of_the_answer_corpus_prints_the_bytes_it_holds():
-    # tests/data/cli_answers.jsonl, fixed and generated, which `python tests/cli_answers.py` rewrites
-    wrong = [shlex.join(cli_answers.argv(line))[:80] for line in cli_answers.read() if cli_answers.answer(line) != line]
+    # tests/data/cli_answers.jsonl, fixed and generated, which `python tests/cli_answers.py` rewrites;
+    # each argv is asked twice in this process, and both answers must be its line
+    wrong = [
+        shlex.join(cli_answers.argv(line))[:80]
+        for line in cli_answers.read()
+        if [cli_answers.answer(line), cli_answers.answer(line)] != [line, line]
+    ]
     assert wrong == []
 
 
@@ -366,15 +372,6 @@ def test_the_seeded_draw_takes_every_choice():
     for i in range(cli_answers.DRAWS):
         cli_answers.draw(i, seen)
     assert seen == {(name, option) for name, options in cli_answers.CHOICES.items() for option in options}
-
-
-def test_generated_argv_keeps_the_exit_code_contract():
-    for i in range(cli_answers.DRAWS):
-        argv = cli_answers.draw(i)
-        code, _, err = first = run_main(argv)  # any exception but argparse's SystemExit fails it
-        assert code in (0, 1, 2, 3), i
-        assert err == "" or code == 1, i
-        assert run_main(argv) == first, i
 
 
 # --- the plain forms that main reads without argparse ------------------------

@@ -5,8 +5,6 @@
 * The interpreter and the stack machine give the same value after the same
   number of steps on random closed and open terms, and ``show`` round-trips
   through ``parse`` on the closed ones.
-* The CLI exits 0-3 on random and hostile argv and prints the same bytes
-  when asked twice.
 
 Examples are derandomized, so every run draws the same inputs.  Deep inputs
 come at the end; a known defect that belongs to later work is a strict
@@ -182,71 +180,6 @@ def test_interpreter_and_vm_agree_on_open_terms(seed, size, how):
     if how != "bump":
         t = lang.App(lang.Var(rng.randrange(3)), t)
     assert_back_ends_agree(t)
-
-
-# --- CLI contract ------------------------------------------------------------
-
-
-_PROGRAMS = st.one_of(
-    st.sampled_from([
-        r"(\x. x) 5", r"(\x. x x) (\x. x x)", r"(\f. f f) (\f. suc (f f))",
-        r"(\x. (\y. 3) (x (x x))) (\x. 0 (x x 3))", "1 2", r"\x. x", "suc " * 60 + "0",
-        "(1", "", " ", "#0", "\\", "suc", ")(", "é", "\x00", "-", ".",
-    ]),
-    st.lists(
-        st.sampled_from(["\\", "x", "y", ".", "(", ")", "suc", "0", "7", " ", "#", "-"]),
-        max_size=24,
-    ).map("".join),
-)
-# fuel stays small, because a diverging program runs to the end of it
-_FUEL = st.sampled_from(["0", "1", "7", "40", "300", "-1", "-0", "+3", "1_0", "", "x", "1e3", "0x10", "١٢"])
-_FUEL_OPT = st.one_of(
-    st.just([]),
-    _FUEL.map(lambda f: ["--fuel", f]),
-    _FUEL.map(lambda f: ["--fuel=" + f]),
-    st.just(["--fuel"]),
-)
-_RATIONALS = st.sampled_from(["1", "-1", "0", "3/2", "-3/2", "1/0", "1/-2", "0.5", "1e3", "", "x", "-0/7", "1/300"])
-_PREDICATES = st.sampled_from(["even", "odd", "gt:3", "ge:-2", "lt:-100", "le:5", "eq:9", "eq", "even:1", "foo", "gt:x", ""])
-_STREAMS = st.sampled_from(["0", "-5:3", "7:-2", "4:0", "1:", ":1", "x", "", "-3"])
-_JUNK = st.lists(
-    st.sampled_from(["run", "vm", "laws", "-h", "--help", "--", "--fuel", "--bogus", "-x", "0", "", "é"]),
-    max_size=5,
-)
-
-ARGV = st.one_of(
-    st.tuples(st.sampled_from(["run", "vm", "compile"]), _PROGRAMS, _FUEL_OPT).map(lambda a: [a[0], a[1], *a[2]]),
-    st.tuples(_RATIONALS, _FUEL_OPT).map(lambda a: ["ispositive", a[0], *a[1]]),
-    st.tuples(_PREDICATES, _STREAMS, _FUEL_OPT).map(lambda a: ["search", a[0], a[1], *a[2]]),
-    st.tuples(st.sampled_from(["0", "-7", "10" * 12, "x"]), st.sampled_from(["0", "1", "2", "-1", "x"])).map(
-        lambda a: ["laws", "--seed", a[0], "--count", a[1]]
-    ),
-    _JUNK,
-)
-
-
-@FUZZ
-@given(ARGV)
-def test_cli_exits_0_to_3_and_repeats_itself(argv):
-    first = run_main(argv)
-    assert first[0] in (0, 1, 2, 3)
-    assert run_main(argv) == first
-
-
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["run", r"(\x. x) 5", "--fuel", "9" * 40], 0),
-        (["vm", r"(\x. x) 5", "--fuel", "9" * 40], 0),
-        (["ispositive", "1/" + "9" * 30, "--fuel", "2"], 2),
-        (["search", "ge:" + "9" * 30, "0", "--fuel", "3"], 2),
-        (["search", "even", "-" + "9" * 30 + ":" + "9" * 30], 0),
-    ],
-)
-def test_cli_huge_numbers_are_answers(argv, code):
-    first = run_main(argv)
-    assert first[0] == code
-    assert run_main(argv) == first
 
 
 # --- deep inputs; a known defect is a strict xfail naming its ROADMAP item ---

@@ -379,7 +379,7 @@ def test_parse_rational_forms():
     assert reals.parse_rational("-22/7") == Fraction(-22, 7)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "x", "1 / 2", "+3"])
+@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "x", "1 / 2", "+3", "1\n", "-3/2\n"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         reals.parse_rational(bad)
