@@ -98,6 +98,8 @@ def is_closed(t) -> bool:
             todo += ((t.arg, depth), (t.fn, depth))
         elif isinstance(t, Suc):
             todo.append((t.arg, depth))
+        elif not isinstance(t, Lit):
+            raise TypeError(f"not a term: {t!r}")
     return True
 
 
@@ -215,8 +217,10 @@ def disassemble(code: tuple) -> list[str]:
                 lines.append(f"{indent}pushlit {_int_text(ins.n)}")
             elif isinstance(ins, PushVar):
                 lines.append(f"{indent}pushvar {ins.index}")
-            else:
+            elif isinstance(ins, (Apply, Add1, Ret)):
                 lines.append(indent + type(ins).__name__.lower())
+            else:
+                raise TypeError(f"not an instruction: {ins!r}")
         else:
             if not outer:
                 return lines
@@ -550,9 +554,11 @@ def show(t) -> str:
             elif ty is Suc:
                 out.append("suc ")
                 t, prec = t.arg, 2
-            else:
+            elif ty is App:
                 todo += ((t.arg, depth, 2), " ")
                 t, prec = t.fn, 1
+            else:
+                raise TypeError(f"not a term: {t!r}")
     return "".join(out)
 
 

@@ -1,15 +1,16 @@
 """The CLI answer corpus: what ``partiality`` prints for every argv the tests pin.
 
-``tests/data/cli_answers.jsonl`` holds one JSON line per argv: the argv or,
-for a generated one, its draw number; its exit code; and the SHA-256 of its
-stdout and of its stderr (UTF-8).  It holds 86 fixed argv and then the
-``DRAWS`` seeded ones, draw ``i`` being ``draw(i)``, so a line stays short
-when its argv is a 60 KB program or a 4 400-digit operand.  ``draw`` is the
-one generator of every CLI argv the tests use.  ``test_cli.py`` replays
-every line, asking each argv twice.  This script answers the argv the
-corpus holds again and writes the lines out, for a change that means to
-alter what some of them print, to change the draw, or to compare Python
-versions::
+``tests/data/cli_answers.jsonl`` holds one JSON line per argv: the argv, a
+deep recipe or a draw number; its exit code; and the SHA-256 of its stdout
+and of its stderr (UTF-8).  It holds 86 fixed argv, then 20 deep ones, each
+with its program as a recipe ``{head, n, leaf, tail}`` that stands for
+``head * n + leaf + tail * n``, then the ``DRAWS`` seeded ones, draw ``i``
+being ``draw(i)``.  So a line stays short when its argv is a 600 KB program
+or a 4 400-digit operand.  ``draw`` is the one generator of every CLI argv
+the tests use.  ``test_cli.py`` replays every line, asking each argv twice.
+This script answers the argv the corpus holds again and writes the lines
+out, for a change that means to alter what some of them print, to change
+the draw, or to compare Python versions::
 
     PYTHONPATH=src python tests/cli_answers.py [OUT]
 
@@ -123,14 +124,23 @@ def draw(i: int, seen: set | None = None) -> list:
     return [command, *operands, *([] if form is None else [form])]
 
 
+def _expand(part):
+    # an argv item, or the recipe of a deep program: head * n + leaf + tail * n
+    return part if isinstance(part, str) else part["head"] * part["n"] + part["leaf"] + part["tail"] * part["n"]
+
+
 def argv(line: dict) -> list:
-    return line["argv"] if "argv" in line else draw(line["draw"])
+    if "draw" in line:
+        return draw(line["draw"])
+    if "deep" in line:
+        return [_expand(part) for part in line["deep"]]
+    return line["argv"]
 
 
 def answer(line: dict) -> dict:
-    """The corpus line for the argv or draw of ``line``, with help text
-    wrapped at 80 columns, whatever the terminal."""
-    key = "argv" if "argv" in line else "draw"
+    """The corpus line for the argv, deep recipe or draw of ``line``, with
+    help text wrapped at 80 columns, whatever the terminal."""
+    key = next(key for key in ("argv", "deep", "draw") if key in line)
     with mock.patch.dict(os.environ, COLUMNS="80"):
         code, out, err = run_main(argv(line))
     return {key: line[key], "code": code, "stdout": sha(out), "stderr": sha(err)}
@@ -142,7 +152,8 @@ def read() -> list:
 
 
 def main(out: str = CORPUS) -> None:
-    keys = [{"argv": line["argv"]} for line in read() if "argv" in line] + [{"draw": i} for i in range(DRAWS)]
+    fixed = [{key: line[key]} for line in read() for key in ("argv", "deep") if key in line]
+    keys = fixed + [{"draw": i} for i in range(DRAWS)]
     lines = [json.dumps(answer(key)) + "\n" for key in keys]
     with open(out, "w", encoding="utf-8") if out != "-" else contextlib.nullcontext(sys.stdout) as f:
         f.writelines(lines)

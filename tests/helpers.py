@@ -1,9 +1,11 @@
-"""Shared randomized generators with known shapes, used as test oracles,
-and a CLI call that reports what it printed."""
+"""Shared randomized generators with known shapes, used as test oracles, a
+CLI call that reports what it printed, and the memory peak of a call."""
 
 import contextlib
+import gc
 import io
 import random
+import tracemalloc
 
 from partiality import cli, seq
 from partiality import delay as D
@@ -70,7 +72,8 @@ def prefix(s, n):
 
 def run_main(argv):
     """``cli.main(argv)`` as (exit code, stdout, stderr); only argparse's
-    ``SystemExit`` is turned into a code, any other exception propagates."""
+    ``SystemExit`` is turned into a code, any other exception propagates.
+    It is the one way the tests call the CLI in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -78,3 +81,15 @@ def run_main(argv):
         except SystemExit as stop:
             code = stop.code
     return code, out.getvalue(), err.getvalue()
+
+
+def peak(fn):
+    """The tracemalloc peak of ``fn()``, in bytes.  A ``gc.collect()`` first
+    empties the free lists, which would hide some allocations."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,5 @@
 import gc
 import random
-import tracemalloc
 
 import pytest
 
@@ -12,6 +11,7 @@ from partiality.lang import (
     agree_within, compile_term, evaluate, execute, gen_term, parse, show,
 )
 from partiality.seq import Verdict
+from helpers import peak
 
 
 def run(t, fuel=1000):
@@ -96,17 +96,11 @@ def test_parse_reads_any_nesting_depth():
 
 
 def test_parse_memory_is_linear_in_binder_depth():
-    def peak(n):
+    def parse_peak(n):
         src = "\\x. " * n + "x"
-        gc.collect()  # empties the free lists, which would hide some allocations
-        tracemalloc.start()
-        try:
-            parse(src)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak(lambda: parse(src))
 
-    small, large = peak(1000), peak(2000)
+    small, large = parse_peak(1000), parse_peak(2000)
     assert large < 2.5 * small and large < 2_000_000
 
 
@@ -388,17 +382,11 @@ def test_growing_context_times_out_on_both_back_ends():
 
 def assert_omega_memory_is_flat(go):
     # the peak of a timed-out Omega run must not grow with its fuel
-    def peak(fuel):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            assert go(OMEGA, fuel) is D.TIMEOUT
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def timeout(fuel):
+        assert go(OMEGA, fuel) is D.TIMEOUT
 
-    peak(10)
-    small, large = peak(10**4), peak(10**5)
+    peak(lambda: timeout(10))
+    small, large = peak(lambda: timeout(10**4)), peak(lambda: timeout(10**5))
     assert large < 16_384 and large < 2 * small
 
 
@@ -543,8 +531,12 @@ def test_vm_runs_of_the_same_code_share_no_stack(rng):
 
 def test_non_terms_and_non_instructions_are_type_errors():
     for t in ("x", App(Lit(0), "x"), Lam(lang.Ret())):
-        with pytest.raises(TypeError, match="not a term"):
-            compile_term(t)
+        for read in (compile_term, show, lang.is_closed):
+            with pytest.raises(TypeError, match="not a term"):
+                read(t)
+    for code in ((lang.PushLit(1), "x"), ("x",), (lang.PushClo((lang.Ret(), Lit(0))),)):
+        with pytest.raises(TypeError, match="not an instruction"):
+            lang.disassemble(code)
     with pytest.raises(TypeError, match="not an instruction"):
         D.run_fuel(execute((lang.PushLit(1), "x")), 1)
     with pytest.raises(TypeError, match="not a term"):
@@ -608,16 +600,22 @@ def test_interpreter_runs_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_interpreter_builds_one_step_node_per_step(monkeypatch):
-    # the growing term's context deepens by one `suc` a step
-    built = [0]
+@pytest.fixture
+def built(monkeypatch):
+    # a one-item list that counts the step nodes built from here on
+    count = [0]
     init = lang._Call.__init__
 
     def counting_init(self, *args):
-        built[0] += 1
+        count[0] += 1
         init(self, *args)
 
     monkeypatch.setattr(lang._Call, "__init__", counting_init)
+    return count
+
+
+def test_interpreter_builds_one_step_node_per_step(built):
+    # the growing term's context deepens by one `suc` a step
     t = parse(r"(\f. f f) (\f. suc (f f))")
     for fuel in (10**3, 10**4):
         d = evaluate(t)
@@ -679,15 +677,7 @@ def test_fuel_that_is_not_an_integer_is_rejected():
             agree_within(three, fuel)
 
 
-def test_runs_build_no_step_node_on_the_way(monkeypatch):
-    built = [0]
-    init = lang._Call.__init__
-
-    def counting_init(self, *args):
-        built[0] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(lang._Call, "__init__", counting_init)
+def test_runs_build_no_step_node_on_the_way(built):
     three = parse(r"(\f. f (f 1)) (\x. suc x)")
     for t, fuel, nodes in ((three, 3, 0), (three, 2, 1), (OMEGA, 10**4, 1)):
         for go in (lang.run, lambda t, fuel: lang.run_code(compile_term(t), fuel)):

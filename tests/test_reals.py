@@ -1,5 +1,3 @@
-import gc
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from partiality import reals, seq
 from partiality.seq import PENDING, Done, Verdict, Witness
-from helpers import prefix
+from helpers import peak, prefix
 
 
 def rationals(min_num=-30, max_num=30):
@@ -88,17 +86,11 @@ def test_a_failing_query_is_made_once_and_cached(k):
 
 def test_zero_scan_memory_does_not_grow_with_fuel():
     # a Seq keeps O(1) state however far it is scanned
-    def peak(fuel):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            seq.converges_within(reals.is_positive(reals.const_real(0)), fuel)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def scan_peak(fuel):
+        return peak(lambda: seq.converges_within(reals.is_positive(reals.const_real(0)), fuel))
 
-    peak(10)
-    assert peak(10**4) == peak(10**5)
+    scan_peak(10)
+    assert scan_peak(10**4) == scan_peak(10**5)
 
 
 @given(rationals().filter(lambda q: q != 0))

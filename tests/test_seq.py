@@ -11,7 +11,7 @@ from partiality import cpo
 from partiality import delay as D
 from partiality import seq
 from partiality.seq import PENDING, ChainViolationError, Done, Verdict, Witness
-from helpers import prefix, rand_seq, shift_n
+from helpers import peak, prefix, rand_seq, shift_n
 
 
 # --- cells and monotonicity ------------------------------------------------
@@ -385,17 +385,11 @@ def test_of_delay_counts_steps_as_indices():
 
 def test_of_delay_memory_does_not_grow_with_fuel():
     # a scan keeps only the current step of the Delay, not the steps behind it
-    def peak(fuel):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            seq.converges_within(seq.of_delay(D.map(D.never(), str)), fuel)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def scan_peak(fuel):
+        return peak(lambda: seq.converges_within(seq.of_delay(D.map(D.never(), str)), fuel))
 
-    peak(10)
-    assert peak(10**5) < 16_384
+    scan_peak(10)
+    assert scan_peak(10**5) < 16_384
 
 
 def test_bottom_is_one_sequence():
@@ -414,18 +408,12 @@ def test_bottom_absorbs():
 
 def test_scan_over_a_live_bottom_keeps_memory_flat():
     # the caller keeps `s`; a scan of what is built on it must not keep its layers
-    def peak(fuel):
+    def scan_peak(fuel):
         s = seq.map(seq.bottom(), str)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            seq.converges_within(seq.shift(s), fuel)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak(lambda: seq.converges_within(seq.shift(s), fuel))
 
-    peak(10)
-    assert peak(10**4) < 2 * peak(10**3) + 4096
+    scan_peak(10)
+    assert scan_peak(10**4) < 2 * scan_peak(10**3) + 4096
 
 
 def _never_str():
@@ -442,18 +430,12 @@ def _never_str():
     ids=["shift", "unshift", "shift-from_fn"],
 )
 def test_scan_over_a_held_source_keeps_memory_flat(source, build):
-    def peak(fuel):
+    def scan_peak(fuel):
         s = source()  # held through the scan
-        gc.collect()
-        tracemalloc.start()
-        try:
-            seq.converges_within(build(s), fuel)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak(lambda: seq.converges_within(build(s), fuel))
 
-    peak(10)
-    assert peak(10**4) < 2 * peak(10**3) + 4096
+    scan_peak(10)
+    assert scan_peak(10**4) < 2 * scan_peak(10**3) + 4096
 
 
 def test_bottom_pulls_nothing():
