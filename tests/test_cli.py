@@ -326,12 +326,12 @@ def test_the_readme_examples_print_the_answers_they_show():
 
 
 def test_each_argv_of_the_answer_corpus_prints_the_bytes_it_holds():
-    # tests/data/cli_answers.jsonl, fixed, deep and generated, which `python tests/cli_answers.py` rewrites;
-    # each argv is asked twice in this process, and both answers must be its line
+    # tests/data/cli_answers.jsonl, fixed and generated, which `python tests/cli_answers.py` rewrites;
+    # each argv is asked twice in this process, and both answers must be its line (test_fuzz replays the deep ones)
     wrong = [
         shlex.join(cli_answers.argv(line))[:80]
         for line in cli_answers.read()
-        if [cli_answers.answer(line), cli_answers.answer(line)] != [line, line]
+        if "deep" not in line and not cli_answers.replays(line)
     ]
     assert wrong == []
 

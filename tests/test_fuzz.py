@@ -10,8 +10,9 @@ Examples are derandomized, so every run draws the same inputs.  Deep inputs
 come at the end; a known defect that belongs to later work is a strict
 ``xfail`` case there.  The deep programs that the CLI answers are the 20
 deep recipe lines of ``tests/data/cli_answers.jsonl``, beside its 86 fixed
-argv and 500 draws, so the one CLI call here is the ``search`` that still ends
-in a traceback (ROADMAP item 3).
+argv and 500 draws; the deep-input tests here replay those lines, each asked
+twice, and the one argv written out here is the ``search`` that still ends in
+a traceback (ROADMAP item 3).
 """
 
 import random
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from partiality import lang, seq
 from partiality import delay as D
+import cli_answers
 from helpers import laters_n, prefix, run_main
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
@@ -186,6 +188,44 @@ def test_interpreter_and_vm_agree_on_open_terms(seed, size, how):
 
 
 # --- deep inputs; a known defect is a strict xfail naming its ROADMAP item ---
+
+
+def _deep(command, fuel=False):
+    # the deep recipe lines of the CLI answer corpus that ask `command`, with or without `--fuel`
+    deep = [line for line in cli_answers.read() if "deep" in line]
+    return [line for line in deep if line["deep"][0] == command and ("--fuel" in line["deep"]) == fuel]
+
+
+def test_deep_program_runs_without_a_traceback():
+    [line] = _deep("run")  # `suc (`×400 `0` `)`×400
+    assert cli_answers.replays(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    _deep("run", fuel=True),
+    ids=[
+        "right-nested-0", "right-nested-id", "suc", "left-nested", "suc-3000", "left-nested-3000",
+        "suc-1e5", "lambdas-1e5", "left-nested-1e5", "right-nested-1e5",
+    ],
+)
+def test_deep_programs_run_at_the_depths_they_reach(line):
+    # the argument of a value function is built in the bind loop, not eagerly
+    assert cli_answers.replays(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    _deep("vm"),
+    ids=["suc", "lambdas", "left-nested", "right-nested", "suc-1e5", "lambdas-1e5", "left-nested-1e5", "right-nested-1e5"],
+)
+def test_vm_answers_deep_programs(line):
+    assert cli_answers.replays(line)
+
+
+def test_compile_lists_a_deep_program():
+    [line] = _deep("compile")  # `suc (`×3000 `0` `)`×3000
+    assert cli_answers.replays(line)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: lfp unrolling recurses once per element")
