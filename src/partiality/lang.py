@@ -86,12 +86,11 @@ OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
 def is_closed(t) -> bool:
     """Is every variable of ``t`` bound?  One loop with its own stack of
     ``(term, depth)`` pairs, ``depth`` counting the binders around each."""
-    todo = [(t, 0)]
+    todo, closed = [(t, 0)], True
     while todo:
         t, depth = todo.pop()
         if isinstance(t, Var):
-            if t.index >= depth:
-                return False
+            closed = closed and t.index < depth
         elif isinstance(t, Lam):
             todo.append((t.body, depth + 1))
         elif isinstance(t, App):
@@ -100,7 +99,7 @@ def is_closed(t) -> bool:
             todo.append((t.arg, depth))
         elif not isinstance(t, Lit):
             raise TypeError(f"not a term: {t!r}")
-    return True
+    return closed
 
 
 # ---------------------------------------------------------------------------

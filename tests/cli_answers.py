@@ -2,14 +2,12 @@
 
 ``tests/data/cli_answers.jsonl`` holds one JSON line per argv: the argv, a
 deep recipe or a draw number; its exit code; and the SHA-256 of its stdout
-and of its stderr (UTF-8).  It holds 86 fixed argv, then 20 deep ones, each
+and of its stderr (UTF-8).  It holds 114 fixed argv, then 20 deep ones, each
 with its program as a recipe ``{head, n, leaf, tail}`` that stands for
 ``head * n + leaf + tail * n``, then the ``DRAWS`` seeded ones, draw ``i``
 being ``draw(i)``.  So a line stays short when its argv is a 600 KB program
 or a 4 400-digit operand.  ``draw`` is the one generator of every CLI argv
-the tests use.  Every line is replayed with ``replays``, which asks its argv
-twice: ``test_cli.py`` replays the fixed and drawn lines, and the deep-input
-tests of ``test_fuzz.py`` the deep ones, a test case each.
+the tests use.  ``test_cli.py`` replays every line, asking each argv twice.
 This script answers the argv the corpus holds again and writes the lines
 out, for a change that means to alter what some of them print, to change
 the draw, or to compare Python versions::
@@ -146,12 +144,6 @@ def answer(line: dict) -> dict:
     with mock.patch.dict(os.environ, COLUMNS="80"):
         code, out, err = run_main(argv(line))
     return {key: line[key], "code": code, "stdout": sha(out), "stderr": sha(err)}
-
-
-def replays(line: dict) -> bool:
-    """Whether the argv of ``line``, asked twice in this process, answers
-    ``line`` both times."""
-    return [answer(line), answer(line)] == [line, line]
 
 
 def read() -> list:

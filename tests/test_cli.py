@@ -326,12 +326,12 @@ def test_the_readme_examples_print_the_answers_they_show():
 
 
 def test_each_argv_of_the_answer_corpus_prints_the_bytes_it_holds():
-    # tests/data/cli_answers.jsonl, fixed and generated, which `python tests/cli_answers.py` rewrites;
-    # each argv is asked twice in this process, and both answers must be its line (test_fuzz replays the deep ones)
+    # tests/data/cli_answers.jsonl, fixed, deep and generated, which `python tests/cli_answers.py` rewrites;
+    # each argv is asked twice in this process, and both answers must be its line
     wrong = [
         shlex.join(cli_answers.argv(line))[:80]
         for line in cli_answers.read()
-        if "deep" not in line and not cli_answers.replays(line)
+        if [cli_answers.answer(line), cli_answers.answer(line)] != [line, line]
     ]
     assert wrong == []
 
@@ -422,6 +422,12 @@ def _parser_builds(monkeypatch, argv):
     monkeypatch.setattr(cli, "_build_parser", spy)
     run_main(argv)
     return len(calls)
+
+
+def test_every_argv_of_the_table_is_a_corpus_line():
+    # so the replay pins what main prints for each argv the table asks it
+    fixed = [line["argv"] for line in cli_answers.read() if "argv" in line]
+    assert [argv for argv, _ in _FORMS if argv not in fixed] == []
 
 
 _PLAIN = [argv for argv, plain in _FORMS if plain]

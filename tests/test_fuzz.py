@@ -9,10 +9,10 @@
 Examples are derandomized, so every run draws the same inputs.  Deep inputs
 come at the end; a known defect that belongs to later work is a strict
 ``xfail`` case there.  The deep programs that the CLI answers are the 20
-deep recipe lines of ``tests/data/cli_answers.jsonl``, beside its 86 fixed
-argv and 500 draws; the deep-input tests here replay those lines, each asked
-twice, and the one argv written out here is the ``search`` that still ends in
-a traceback (ROADMAP item 3).
+deep recipe lines of ``tests/data/cli_answers.jsonl``, beside its 114 fixed
+argv and 500 draws, and its replay asks each twice.  The deep-input tests here
+check that those lines hold the answers they state, so the one argv this file
+asks the CLI is the ``search`` that still ends in a traceback (ROADMAP item 3).
 """
 
 import random
@@ -190,42 +190,67 @@ def test_interpreter_and_vm_agree_on_open_terms(seed, size, how):
 # --- deep inputs; a known defect is a strict xfail naming its ROADMAP item ---
 
 
-def _deep(command, fuel=False):
-    # the deep recipe lines of the CLI answer corpus that ask `command`, with or without `--fuel`
-    deep = [line for line in cli_answers.read() if "deep" in line]
-    return [line for line in deep if line["deep"][0] == command and ("--fuel" in line["deep"]) == fuel]
+_RECIPES = [line for line in cli_answers.read() if "deep" in line]
+
+
+def _pinned(argv, answer):
+    # whether a deep recipe line of the CLI answer corpus holds `argv` with `answer`, (code, stdout, stderr);
+    # the corpus replay asks each such argv twice, so no argv is asked here
+    code, out, err = answer
+    held = {"code": code, "stdout": cli_answers.sha(out), "stderr": cli_answers.sha(err)}
+    return any(cli_answers.argv(line) == argv and line.items() >= held.items() for line in _RECIPES)
 
 
 def test_deep_program_runs_without_a_traceback():
-    [line] = _deep("run")  # `suc (`×400 `0` `)`×400
-    assert cli_answers.replays(line)
+    argv = ["run", "suc (" * 400 + "0" + ")" * 400]
+    assert _pinned(argv, (0, "now 400 steps=0\n", ""))
 
 
 @pytest.mark.parametrize(
-    "line",
-    _deep("run", fuel=True),
+    "program, fuel, answer",
+    [
+        ("0 (" * 3000 + "0" + ")" * 3000, "1000", (3, "stuck\n", "")),
+        (r"(\x. x) (" * 3000 + "0" + ")" * 3000, "3000", (0, "now 0 steps=3000\n", "")),
+        ("suc (" * 900 + "0" + ")" * 900, "1000", (0, "now 900 steps=0\n", "")),
+        ("(" * 900 + "0" + " 0)" * 900, "1000", (3, "stuck\n", "")),
+        ("suc (" * 3000 + "0" + ")" * 3000, "1000", (0, "now 3000 steps=0\n", "")),
+        ("(" * 3000 + "0" + " 0)" * 3000, "1000", (3, "stuck\n", "")),
+        ("suc (" * 10**5 + "0" + ")" * 10**5, "1000", (0, "now 100000 steps=0\n", "")),
+        ("\\x. " * 10**5 + "x", "1000", (0, "now <closure> steps=0\n", "")),
+        ("(" * 10**5 + "0" + " 0)" * 10**5, "1000", (3, "stuck\n", "")),
+        ("0 (" * 10**5 + "0" + ")" * 10**5, "1000", (3, "stuck\n", "")),
+    ],
     ids=[
         "right-nested-0", "right-nested-id", "suc", "left-nested", "suc-3000", "left-nested-3000",
         "suc-1e5", "lambdas-1e5", "left-nested-1e5", "right-nested-1e5",
     ],
 )
-def test_deep_programs_run_at_the_depths_they_reach(line):
+def test_deep_programs_run_at_the_depths_they_reach(program, fuel, answer):
     # the argument of a value function is built in the bind loop, not eagerly
-    assert cli_answers.replays(line)
+    assert _pinned(["run", program, "--fuel", fuel], answer)
 
 
 @pytest.mark.parametrize(
-    "line",
-    _deep("vm"),
+    "program, answer",
+    [
+        ("suc (" * 3000 + "0" + ")" * 3000, (0, "now 3000 steps=0\n", "")),
+        ("\\x. " * 3000 + "x", (0, "now <closure> steps=0\n", "")),
+        ("(" * 3000 + "0" + " 0)" * 3000, (3, "stuck\n", "")),
+        ("0 (" * 3000 + "0" + ")" * 3000, (3, "stuck\n", "")),
+        ("suc (" * 10**5 + "0" + ")" * 10**5, (0, "now 100000 steps=0\n", "")),
+        ("\\x. " * 10**5 + "x", (0, "now <closure> steps=0\n", "")),
+        ("(" * 10**5 + "0" + " 0)" * 10**5, (3, "stuck\n", "")),
+        ("0 (" * 10**5 + "0" + ")" * 10**5, (3, "stuck\n", "")),
+    ],
     ids=["suc", "lambdas", "left-nested", "right-nested", "suc-1e5", "lambdas-1e5", "left-nested-1e5", "right-nested-1e5"],
 )
-def test_vm_answers_deep_programs(line):
-    assert cli_answers.replays(line)
+def test_vm_answers_deep_programs(program, answer):
+    assert _pinned(["vm", program], answer)
 
 
 def test_compile_lists_a_deep_program():
-    [line] = _deep("compile")  # `suc (`×3000 `0` `)`×3000
-    assert cli_answers.replays(line)
+    listing = "pushlit 0\n" + "add1\n" * 3000
+    assert _pinned(["compile", "suc (" * 3000 + "0" + ")" * 3000], (0, listing, ""))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: lfp unrolling recurses once per element")

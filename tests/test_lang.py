@@ -530,7 +530,7 @@ def test_vm_runs_of_the_same_code_share_no_stack(rng):
 
 
 def test_non_terms_and_non_instructions_are_type_errors():
-    for t in ("x", App(Lit(0), "x"), Lam(lang.Ret())):
+    for t in ("x", App(Lit(0), "x"), App(Var(5), "x"), Lam(lang.Ret())):
         for read in (compile_term, show, lang.is_closed):
             with pytest.raises(TypeError, match="not a term"):
                 read(t)
