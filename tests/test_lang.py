@@ -446,6 +446,17 @@ def test_stuck_aborts_before_the_argument_on_open_terms():
     assert run(t, 500) is D.TIMEOUT and vm(t, 500) is D.TIMEOUT
 
 
+@pytest.mark.xfail(strict=True, raises=IndexError, reason="a negative index is read from the end of the environment")
+def test_a_negative_index_is_a_free_variable():
+    # a variable is bound only when 0 <= index < depth; any other index is free
+    for t, steps, text in ((Var(-1), 0, "#-1"), (App(Lam(Var(-2)), Lit(1)), 1, r"(\x. #-2) 1")):
+        want = D.Converged(STUCK, steps)
+        assert lang.run(t, 50) == run(t, 50) == lang.run_code(compile_term(t), 50) == vm(t, 50) == want
+        assert agree_within(t, 50) is Verdict.TRUE
+        assert not lang.is_closed(t)
+        assert show(t) == text
+
+
 def test_one_run_observed_twice_gives_the_same_answer(rng):
     # through a public bind first, which splices the run, then directly
     terms = [parse(r"(\f. f (f 1)) (\x. suc x)"), parse(r"suc ((\x. suc x) ((\y. y) 2))")]
