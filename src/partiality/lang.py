@@ -11,7 +11,8 @@ Concrete syntax::
 
 ``parse`` reads it in one loop over the tokens, keeping open binders and
 parentheses on its own stack, so nesting has no depth limit.  Internally
-terms use de Bruijn indices.  There are two executable accounts:
+terms use de Bruijn indices: under ``d`` binders, a variable is bound when
+``0 <= index < d`` and free otherwise.  There are two executable accounts:
 
 * ``evaluate`` — the obvious environment interpreter, made total by
   returning a delayed value that takes one observable step per beta
@@ -90,7 +91,7 @@ def is_closed(t) -> bool:
     while todo:
         t, depth = todo.pop()
         if isinstance(t, Var):
-            closed = closed and t.index < depth
+            closed = closed and 0 <= t.index < depth
         elif isinstance(t, Lam):
             todo.append((t.body, depth + 1))
         elif isinstance(t, App):
@@ -265,7 +266,7 @@ def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converg
         ty = type(ins)
         if ty is PushVar:
             i = len(env) - 1 - ins.index
-            if i < 0:
+            if i < 0 or ins.index < 0:
                 return _end(STUCK, budget)
             stack.append(env[i])
         elif ty is Apply:
@@ -355,7 +356,7 @@ def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | _Call":
             t = t.arg
         else:
             if ty is Var:
-                v = env[len(env) - 1 - t.index] if t.index < len(env) else STUCK
+                v = env[~t.index] if 0 <= t.index < len(env) else STUCK
             elif ty is Lit:
                 v = Nat(t.n)
             elif ty is Lam:
@@ -539,7 +540,7 @@ def show(t) -> str:
         while True:  # print down the leftmost path, stacking what follows it
             ty = type(t)
             if ty is Var:
-                out.append(fresh(depth - 1 - t.index) if t.index < depth else f"#{t.index}")
+                out.append(fresh(depth - 1 - t.index) if 0 <= t.index < depth else f"#{t.index}")
                 break
             if ty is Lit:
                 out.append(_int_text(t.n))
