@@ -1,7 +1,7 @@
 """Differential fuzzing: each promise is checked against a second account of it.
 
-* A random tree of ``Seq`` operations agrees cell for cell with the same tree
-  built on ``Delay`` and seen through ``of_delay``.
+* The sequence layer's second account is the convergence model of the
+  stateful test in ``tests/test_model.py``, not a ``Delay`` twin.
 * The interpreter and the stack machine give the same value after the same
   number of steps on random closed and open terms, and ``show`` round-trips
   through ``parse`` on the closed ones.
@@ -23,119 +23,9 @@ from hypothesis import given, settings, strategies as st
 from partiality import lang, seq
 from partiality import delay as D
 import cli_answers
-from helpers import laters_n, prefix, run_main
+from helpers import run_main
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
-
-
-# --- two carriers ------------------------------------------------------------
-
-CELLS = 40
-
-_LEAVES = st.one_of(
-    st.tuples(st.just("unit"), st.integers(0, 9)),
-    st.just(("bottom",)),
-    st.tuples(st.just("delay"), st.integers(0, 6), st.integers(0, 9)),
-)
-
-
-def _extend(children):
-    return st.one_of(
-        st.tuples(st.just("shift"), children),
-        st.tuples(st.just("unshift"), children),
-        st.tuples(st.just("map"), children, st.integers(-3, 3)),
-        st.tuples(st.just("bind"), children, children),
-        st.tuples(st.just("lub"), st.integers(0, 3), children),
-        # a sequence already scanned this far before it is composed further
-        st.tuples(st.just("scanned"), children, st.integers(0, 12)),
-    )
-
-
-TREES = st.recursive(_LEAVES, _extend, max_leaves=12)
-
-
-def build_seq(t):
-    op = t[0]
-    if op == "unit":
-        return seq.unit(t[1])
-    if op == "bottom":
-        return seq.bottom()
-    if op == "delay":
-        return seq.of_delay(laters_n(D.now(t[2]), t[1]))
-    if op == "shift":
-        return seq.shift(build_seq(t[1]))
-    if op == "unshift":
-        return seq.unshift(build_seq(t[1]))
-    if op == "map":
-        return seq.map(build_seq(t[1]), lambda a: a + t[2])
-    if op == "bind":
-        return seq.bind(build_seq(t[1]), lambda a: seq.map(build_seq(t[2]), lambda b: 10 * a + b))
-    if op == "lub":
-        s = build_seq(t[2])
-        return seq.lub(lambda i: s if i >= t[1] else seq.bottom())
-    s = build_seq(t[1])
-    s.at(t[2])
-    return s
-
-
-def build_delay(t):
-    op = t[0]
-    if op == "unit":
-        return D.now(t[1])
-    if op == "bottom":
-        return D.never()
-    if op == "delay":
-        return laters_n(D.now(t[2]), t[1])
-    if op == "shift":
-        return D.later(build_delay(t[1]))
-    if op == "unshift":
-        return _unshift_delay(build_delay(t[1]))
-    if op == "map":
-        return D.map(build_delay(t[1]), lambda a: a + t[2])
-    if op == "bind":
-        return D.bind(build_delay(t[1]), lambda a: D.map(build_delay(t[2]), lambda b: 10 * a + b))
-    if op == "lub":
-        return _lub_delay(t[1], build_delay(t[2]))
-    return build_delay(t[1])
-
-
-def _unshift_delay(d):
-    # one step fewer, and a value stays a value
-    def layer():
-        ob = d.observe()
-        return ob.rest.observe() if isinstance(ob, D.Later) else ob
-
-    return D.Delay(layer)
-
-
-def _lub_delay(stage, d):
-    # step n is done once member i (d from `stage` on) is done within j steps,
-    # where (i, j) runs through the Cantor diagonal
-    def step(n):
-        i, j = seq.cantor_unpair(n)
-        r = D.run_fuel(d, j) if i >= stage else D.TIMEOUT
-        if r is D.TIMEOUT:
-            return D.Later(D.Delay(lambda: step(n + 1)))
-        return D.Now(r.value)
-
-    return D.Delay(lambda: step(0))
-
-
-@FUZZ
-@given(TREES)
-def test_seq_trees_agree_with_delay_trees(t):
-    s = build_seq(t)
-    cells = prefix(s, CELLS)
-    assert cells == prefix(seq.of_delay(build_delay(t)), CELLS)
-    if s is seq.bottom():
-        assert all(c is seq.PENDING for c in cells)
-
-
-@FUZZ
-@given(TREES)
-def test_to_delay_of_seq_trees_agrees_with_delay_trees(t):
-    got = D.run_fuel(seq.to_delay(build_seq(t)), CELLS)
-    assert got == D.run_fuel(build_delay(t), CELLS)
 
 
 # --- two back ends -----------------------------------------------------------
