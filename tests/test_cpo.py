@@ -1,3 +1,4 @@
+import random
 import weakref
 
 import pytest

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 

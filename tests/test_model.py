@@ -19,9 +19,9 @@ ASK = st.none() | st.tuples(POINTS, NEAR)  # where a new sequence is asked at on
 
 
 def _lub_model(stages):
-    # (k, v, fail) of a lub whose members from i on are the sequence held as (i, k, v, fail), up to
-    # the next stage.  The Cantor order meets a stage's first done cell and its failure at its first
-    # member, and the lub fails at the first failure, or done cell with another value, after its own.
+    # (k, v, fail) of a lub whose members from i on are the sequence held as (i, k, v, fail), up to the
+    # next stage; fail is None or (index, first witness, second witness).  The Cantor order meets a stage's
+    # first done cell and failure at its first member; the lub fails at the next failure or other value.
     cells = sorted((seq.cantor_pair(i, k), (i, k, v)) for i, k, v, _ in stages if k < inf)
     if not cells:
         return inf, 0, None
