@@ -1,7 +1,9 @@
 """Differential fuzzing: each promise is checked against a second account of it.
 
-* The sequence layer's second account is the convergence model of the
-  stateful test in ``tests/test_model.py``, not a ``Delay`` twin.
+* A random tree of ``Seq`` operations agrees cell for cell with the same tree
+  built on ``Delay`` and seen through ``of_delay``; ``unshift`` and ``lub``,
+  which ``Delay`` lacks, are read off the convergence pair, as in the model of
+  ``tests/test_model.py``.
 * The interpreter and the stack machine give the same value after the same
   number of steps on random closed and open terms, and ``show`` round-trips
   through ``parse`` on the closed ones.
@@ -16,6 +18,7 @@ asks the CLI is the ``search`` that still ends in a traceback (ROADMAP item 3).
 """
 
 import random
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +26,83 @@ from hypothesis import given, settings, strategies as st
 from partiality import lang, seq
 from partiality import delay as D
 import cli_answers
-from helpers import run_main
+from helpers import laters_n, prefix, run_main
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+# --- two carriers ------------------------------------------------------------
+
+CELLS = 40
+
+_LEAVES = st.one_of(
+    st.tuples(st.just("unit"), st.integers(0, 9)),
+    st.just(("bottom",)),
+    st.tuples(st.just("delay"), st.integers(0, 6), st.integers(0, 9)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.just("shift"), children),
+        st.tuples(st.just("unshift"), children),
+        st.tuples(st.just("map"), children, st.integers(-3, 3)),
+        st.tuples(st.just("bind"), children, children),
+        st.tuples(st.just("lub"), st.integers(0, 3), children),
+        # a sequence already scanned this far before it is composed further
+        st.tuples(st.just("scanned"), children, st.integers(0, 12)),
+    )
+
+
+TREES = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+def build(t):
+    """(seq, delay, k, v): a tree on both carriers and its convergence pair, k = inf for silence."""
+    op = t[0]
+    if op == "unit":
+        return seq.unit(t[1]), D.now(t[1]), 0, t[1]
+    if op == "bottom":
+        return seq.bottom(), D.never(), inf, 0
+    if op == "delay":
+        d = laters_n(D.now(t[2]), t[1])
+        return seq.of_delay(d), d, t[1], t[2]
+    if op == "bind":
+        (s, d, k, v), (s2, d2, j, w) = build(t[1]), build(t[2])
+        f, g = lambda a: seq.map(s2, lambda b: 10 * a + b), lambda a: D.map(d2, lambda b: 10 * a + b)
+        return seq.bind(s, f), D.bind(d, g), k + j, 10 * v + w
+    s, d, k, v = build(t[-1] if op == "lub" else t[1])
+    if op == "shift":
+        return seq.shift(s), D.later(d), k + 1, v
+    if op == "map":
+        return seq.map(s, lambda a: a + t[2]), D.map(d, lambda a: a + t[2]), k, v + t[2]
+    if op == "scanned":
+        s.at(t[2])
+        return s, d, k, v
+    if op == "unshift":
+        u, k = seq.unshift(s), max(k - 1, 0)
+    else:  # members from t[1] on are s; the Cantor order meets its done cell first at member t[1]
+        u, k = seq.lub(lambda i: s if i >= t[1] else seq.bottom()), seq.cantor_pair(t[1], k) if k < inf else k
+    # past CELLS the delay may as well be silent: no test looks that far
+    return u, laters_n(D.now(v), k) if k <= CELLS else D.never(), k, v
+
+
+@FUZZ
+@given(TREES)
+def test_seq_trees_agree_with_delay_trees(t):
+    s, d, k, v = build(t)
+    cells = prefix(s, CELLS)
+    assert cells == prefix(seq.of_delay(d), CELLS)
+    assert seq.converges_within(s, CELLS) == (seq.Witness(v, k) if k <= CELLS else None)
+    if s is seq.bottom():
+        assert all(c is seq.PENDING for c in cells)
+
+
+@FUZZ
+@given(TREES)
+def test_to_delay_of_seq_trees_agrees_with_delay_trees(t):
+    s, d, _, _ = build(t)
+    assert D.run_fuel(seq.to_delay(s), CELLS) == D.run_fuel(d, CELLS)
 
 
 # --- two back ends -----------------------------------------------------------

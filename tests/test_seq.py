@@ -10,7 +10,7 @@ from partiality import cpo
 from partiality import delay as D
 from partiality import seq
 from partiality.seq import PENDING, ChainViolationError, Done, Verdict, Witness
-from helpers import peak, prefix, shift_n
+from helpers import peak, prefix, rand_kleisli, rand_seq, shift_n
 
 
 # --- cells and monotonicity ------------------------------------------------
@@ -28,6 +28,17 @@ def test_bottom_is_pending_everywhere():
 def test_shift_delays_by_one():
     s = seq.shift(seq.unit(1))
     assert prefix(s, 3) == [PENDING, Done(1), Done(1)]
+
+
+def test_unshift_inverts_shift_pointwise(rng):
+    for s, _, _ in (rand_seq(rng) for _ in range(40)):
+        assert prefix(seq.unshift(seq.shift(s)), 20) == prefix(s, 20)
+
+
+def test_random_constructions_are_monotone(rng):
+    for _ in range(100):
+        assert seq.ismon_prefix(rand_seq(rng)[0], 256)
+    assert seq.ismon_prefix(seq.lub(lambda i: seq.unit(3) if i >= 2 else seq.bottom()), 256)
 
 
 def test_from_fn_stabilizes_a_lawless_function():
@@ -329,6 +340,12 @@ def test_order_checks_reject_negative_fuel_before_any_shortcut():
 # --- convergence observation -----------------------------------------------
 
 
+def test_witness_is_minimal(rng):
+    for _ in range(200):
+        s, k, v = rand_seq(rng)
+        assert seq.converges_within(s, 64) == (None if k is None or k > 64 else Witness(v, k))
+
+
 def test_converges_within_does_not_force_past_the_witness():
     forced = []
 
@@ -517,6 +534,20 @@ def test_bind_calls_the_continuation_once():
 def test_join_flattens():
     ss = seq.unit(shift_n(seq.unit(3), 1))
     assert prefix(seq.join(ss), 3) == [PENDING, Done(3), Done(3)]
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3))
+def test_map_shifts_nothing(k, j, v):
+    s = seq.map(shift_n(seq.unit(v), k), lambda x: x - j)
+    assert seq.converges_within(s, 32) == Witness(v - j, k)
+
+
+def test_bind_agrees_with_the_delay_route(rng):
+    # the same bind computed through the Delay side
+    for _ in range(150):
+        s, f = rand_seq(rng)[0], rand_kleisli(rng)
+        via_delay = seq.of_delay(D.bind(seq.to_delay(s), lambda a: seq.to_delay(f(a))))
+        assert prefix(seq.bind(s, f), 48) == prefix(via_delay, 48)
 
 
 # --- fuel-bounded order and equivalence ------------------------------------
@@ -767,6 +798,13 @@ def test_lub_conflict_after_a_bottom_prefix_names_the_oracle_cells():
     with pytest.raises(ChainViolationError) as raised:
         bad.at(len(cells))
     assert (raised.value.first, raised.value.second) == (first, second) == ((4, 0, 0), (5, 0, 1))
+
+
+def test_antisymmetry_at_verdict_level(rng):
+    for _ in range(100):
+        s, t = rand_seq(rng)[0], rand_seq(rng)[0]
+        if seq.leq_within(s, t, 64) is Verdict.TRUE and seq.leq_within(t, s, 64) is Verdict.TRUE:
+            assert seq.bisim_within(s, t, 64) is Verdict.TRUE
 
 
 # --- nesting ---------------------------------------------------------------
