@@ -9,12 +9,13 @@ never be told apart from a small-enough nonzero by finitely many queries.
 ``is_positive`` returns the verdict as a monotone sequence of bits — done
 with 1 from the first index that certifies positivity, done with 0 from the
 first that certifies non-positivity, pending forever on zero — so all the
-fuel-bounded machinery applies unchanged.  Its producer asks each pull how
-far it goes and answers the whole pull in one loop of queries, reported as
-one run of pending cells.  It reads a value's ratio only when ``f`` returns
-another object than at the last query, and keeps the last index that ratio
-leaves pending, so a repeated value, such as ``const_real``'s, is read once
-and every later query is one integer comparison.
+fuel-bounded machinery applies unchanged.  A ``const_real`` is read once
+and answered in closed form.  Any other ``f``, a wrapper of a ``const_real``
+included, is queried once per index: the producer asks each pull how far it
+goes and answers it in one loop, reported as one run of pending cells.  It
+reads a value's ratio only when ``f`` returns another object than at the
+last query, so a repeated value is read once and every later query is one
+integer comparison.
 
 Bounds are decided on integers, from each value's ``as_integer_ratio()``, so a
 real may return any exact-ratio number: ``int``, ``Fraction`` or ``float``.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from ._record import _read_int
@@ -44,11 +46,13 @@ _UNREAD = object()  # no value read yet; any value, None too, is read
 def is_positive(f: Real) -> Seq:
     """Positivity of the real named by ``f``, as a sequence of bits.
 
-    Index ``n >= 1`` queries ``f(n)`` once, as ``p / q``; cells stay pending
-    until the first ``n`` with ``|n * p| > 2 * q``, where the settling rate
-    pins the sign of the limit.  From there every cell is ``Done(1)``
-    (positive) or ``Done(0)`` (negative) and ``f`` is not queried again.
-    For the zero real every index is pending.  One loop answers a whole
+    Cells stay pending until the first ``n >= 1`` with ``|n * p| > 2 * q``
+    for ``f(n) = p / q``, where the settling rate pins the sign of the limit;
+    from there every cell is ``Done(1)`` (positive) or ``Done(0)`` (negative),
+    and for the zero real none is.  A ``const_real`` is read once, at the
+    first pull, and never queried.  Any other ``f``, a wrapper of a
+    ``const_real`` included, is queried once per index ``n >= 1`` up to the
+    first done one.  One loop answers a whole
     pull: it queries each index the pull needs, in order, and reports the
     pending ones as one run.  A value that is the same object as the last
     one is not read again: its ratio gave ``lim = 2*q // |p|``, the last
@@ -58,6 +62,9 @@ def is_positive(f: Real) -> Seq:
     query that raises leaves the cells before it scanned, and the error is
     raised on the next resume.
     """
+    if type(f) is partial and f.func is _const:  # const_real's: its cells in closed form
+        return Seq(partial(_const_sign, *f.args))
+
     def produce():
         k = 0  # the next cell to report; cell 0 needs no query
         last, p = _UNREAD, 0  # the value last read, and its numerator
@@ -87,13 +94,31 @@ def is_positive(f: Real) -> Seq:
     return Seq(produce)
 
 
+def _const_sign(x: Rational):
+    # the cells of is_positive(const_real(x)) from one read of x = p/q: pending through 2*q // |p|
+    p, q = x.as_integer_ratio()
+    if p:
+        yield 2 * q // abs(p) + 1
+        yield Done(int(p > 0))
+        return
+    k = 0  # the next cell to report; a zero leaves every pull pending
+    while True:
+        n = yield _WANT
+        yield n + 1 - k
+        k = n + 1
+
+
 # ---------------------------------------------------------------------------
 # presentations and their laws, fuel-bounded
 
 
+def _const(q: Rational, _n: int) -> Rational:
+    return q
+
+
 def const_real(q: Rational) -> Real:
-    q = Fraction(q)
-    return lambda _n: q
+    """The real ``q``: the same ``Fraction`` object at every index."""
+    return partial(_const, Fraction(q))
 
 
 def is_cauchy_prefix(f: Real, n: int) -> bool:

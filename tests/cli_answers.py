@@ -2,7 +2,7 @@
 
 ``tests/data/cli_answers.jsonl`` holds one JSON line per argv: the argv, a
 deep recipe or a draw number; its exit code; and the SHA-256 of its stdout
-and of its stderr (UTF-8).  It holds 114 fixed argv, then 20 deep ones, each
+and of its stderr (UTF-8).  It holds 116 fixed argv, then 20 deep ones, each
 with its program as a recipe ``{head, n, leaf, tail}`` that stands for
 ``head * n + leaf + tail * n``, then the ``DRAWS`` seeded ones, draw ``i``
 being ``draw(i)``.  So a line stays short when its argv is a 600 KB program

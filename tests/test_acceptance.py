@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from partiality import cpo, delay as D, lang, reals, seq
-from partiality.seq import PENDING, Verdict, Witness
+from partiality.seq import Verdict, Witness
 from helpers import prefix, rand_delay, rand_kleisli, rand_seq, shift_n
 
 

@@ -139,10 +139,13 @@ def test_big_integer_operands(argv, answer):
         (["search", "--fuel=5000", "even", "1:2"], (2, "unknown fuel=5000\n", "")),  # read by argparse
         (["ispositive", "0", "--fuel", "10"], (2, "unknown fuel=10\n", "")),
         (["ispositive", "1/100000", "--fuel", "300000"], (0, "positive index=200001\n", "")),  # one long pull
+        # a rational's sign is answered in closed form, so no fuel is spent cell by cell
+        (["ispositive", "0", "--fuel", "1000000000000"], (2, "unknown fuel=1000000000000\n", "")),
+        (["ispositive", "-1/3000000000", "--fuel", "10000000000"], (0, "negative index=6000000001\n", "")),
     ],
 )
 def test_big_integer_options(argv, answer):
-    # a huge fuel only on a converging question: a silent one would spend all of it
+    # a huge fuel only on a question answered in closed form or converging: a silent one would spend all of it
     assert run_main(argv) == answer
 
 

@@ -11,7 +11,7 @@
 Examples are derandomized, so every run draws the same inputs.  Deep inputs
 come at the end; a known defect that belongs to later work is a strict
 ``xfail`` case there.  The deep programs that the CLI answers are the 20
-deep recipe lines of ``tests/data/cli_answers.jsonl``, beside its 114 fixed
+deep recipe lines of ``tests/data/cli_answers.jsonl``, beside its 116 fixed
 argv and 500 draws, and its replay asks each twice.  The deep-input tests here
 check that those lines hold the answers they state, so the one argv this file
 asks the CLI is the ``search`` that still ends in a traceback (ROADMAP item 3).

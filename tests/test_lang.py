@@ -1,5 +1,4 @@
 import gc
-import random
 
 import pytest
 

@@ -98,11 +98,12 @@ class Pool(RuleBasedStateMachine):
     def from_fn(self, s, ask):
         return self._built((seq.from_fn(s[0].at), s[1], s[2], None), ask)
 
-    @rule(target=seqs, p=st.integers(-4, 4), q=st.integers(1, 4), ask=ASK)
-    def is_positive(self, p, q, ask):  # with x = a/c in lowest terms, cell n >= 1 is done once n|a| > 2c
-        x = Fraction(p, q)
+    @rule(target=seqs, p=st.integers(-4, 4), q=st.integers(1, 4), const=st.booleans(), ask=ASK)
+    def is_positive(self, p, q, const, ask):  # with x = a/c in lowest terms, cell n >= 1 is done once n|a| > 2c
+        x = Fraction(p, q)  # const_real's closed form, or the query loop on a function giving the same object
         k = 2 * x.denominator // abs(x.numerator) + 1 if p else inf
-        return self._built((reals.is_positive(reals.const_real(x)), k, int(p > 0), None), ask)
+        f = reals.const_real(x) if const else lambda n: x
+        return self._built((reals.is_positive(f), k, int(p > 0), None), ask)
 
     @initialize(targets=(seqs, lubs), v=VALUES, w=VALUES, b=st.integers(1, 3))
     def two_units(self, v, w, b):  # so that `asked` never draws from an empty bundle

@@ -361,6 +361,56 @@ def test_a_none_value_raises_the_error_of_reading_it():
         s.at(2)
 
 
+# --- const_real in closed form ----------------------------------------------
+#
+# is_positive reads a const_real once and answers its cells in closed form; any
+# other function, here one that returns the same Fraction object, is queried
+# index by index.  Both must give the same cells, however they are read.
+
+BIG = 10**4400 - 1  # 4 400 digits
+CONSTANTS = {
+    "zero": 0, "one": 1, "minus-one": -1, "22/7": Fraction(22, 7), "1/3": Fraction(1, 3),
+    "-1/3": Fraction(-1, 3), "int": 5, "float": 0.1, "tiny": Fraction(1, 10**20), "-tiny": Fraction(-1, 10**20),
+    "big/7": Fraction(BIG, 7), "-7/big": Fraction(-7, BIG), "big/(big+2)": Fraction(BIG, BIG + 2),
+    "-(big+2)/big": Fraction(-BIG - 2, BIG),
+}
+
+
+def _read(s, idxs, way):
+    # the cells at idxs in ascending order: at once, after one converges_within to the last, or after it is pulled
+    ahead = [] if way == "ascending" else [seq.converges_within(s, idxs[-1]) if way == "converges" else s.at(idxs[-1])]
+    return ahead + [s.at(n) for n in idxs]
+
+
+@pytest.mark.parametrize("way", ["ascending", "converges", "far"])
+@pytest.mark.parametrize("q", CONSTANTS.values(), ids=CONSTANTS.keys())
+def test_const_real_gives_the_cells_of_the_query_loop(q, way):
+    x = Fraction(q)
+    closed = lambda: reals.is_positive(reals.const_real(q))
+    loop = lambda: reals.is_positive(lambda n, x=x: x)
+    p, d = x.as_integer_ratio()
+    w = 2 * d // abs(p) + 1 if p else None  # the least witness, if any
+    idxs = list(range(w + 4 if w and w <= 10**4 else 64))  # through the witness + 3, or 64 cells
+    assert _read(closed(), idxs, way) == _read(loop(), idxs, way)
+    if w and w > 10**4:  # past the loop's reach: the per-index formula at the witness and on either side
+        near = [w - 1, w, w + 1]
+        cells = [sign_cell_oracle(lambda n: x, n) for n in near]
+        assert cells[0] is PENDING and cells[1] == cells[2] == Done(int(p > 0))
+        assert _read(closed(), near, way)[-3:] == cells
+
+
+def test_const_real_is_answered_without_a_query_per_cell():
+    f = reals.const_real(Fraction(1, 10**30))
+    assert f(0) is f(10**40) and type(f(1)) is Fraction  # one Fraction object at every index
+    assert seq.converges_within(reals.is_positive(f), 10**40) == Witness(1, 2 * 10**30 + 1)
+    assert seq.converges_within(reals.is_positive(reals.const_real(0)), 10**40) is None
+    # a function that wraps a const_real is queried at each index up to the witness
+    calls, third = [], reals.const_real(Fraction(1, 3))
+    s = reals.is_positive(lambda n: calls.append(n) or third(n))
+    assert seq.converges_within(s, 100) == Witness(1, 7)
+    assert calls == list(range(1, 8))
+
+
 # --- parsing ---------------------------------------------------------------
 
 
