@@ -631,6 +631,89 @@ def test_interpreter_builds_one_step_node_per_step(built):
         assert built[0] == fuel + 1  # fuel steps, and the one that ran out
 
 
+# --- run_fuel over a run that someone holds ---------------------------------
+
+THREE = parse(r"(\f. f (f 1)) (\x. suc x)")
+
+# per back end: a run's head, the answer of its budgeted loop, and the loop's name
+BACK_ENDS = {
+    "interpreter": (evaluate, lang.run, "_eval"),
+    "vm": (lambda t: execute(compile_term(t)), lambda t, fuel: lang.run_code(compile_term(t), fuel), "_run"),
+}
+
+
+def observed(d, fuel):
+    # run_fuel's answer, taken one observed layer at a time
+    for steps in range(fuel + 1):
+        ob = d.observe()
+        if type(ob) is D.Now:
+            return D.Converged(ob.value, steps)
+        d = ob.rest
+    return D.TIMEOUT
+
+
+def counted_loop(monkeypatch, name):
+    # a one-item list that counts the calls of lang's loop `name` by every
+    # step node built from here on
+    calls = [0]
+    inner = getattr(lang, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(lang, name, counting)
+    return calls
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="run_fuel keeps every step node it passes while the caller holds the head")
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+def test_run_fuel_keeps_no_node_of_a_held_run(back_end):
+    start = BACK_ENDS[back_end][0]
+
+    def held(fuel):
+        d = start(OMEGA)
+        return peak(lambda: D.run_fuel(d, fuel))
+
+    held(10)
+    assert held(10**5) <= held(10**4) + 2048
+
+
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+def test_run_fuel_inside_a_held_run_answers_as_run_does(back_end, rng, monkeypatch):
+    # k layers observed, run_fuel on the node they reach at fuel a, again on
+    # the head at fuel b, then an observed walk of the head at b + 5
+    start, answer, loop = BACK_ENDS[back_end]
+    calls = counted_loop(monkeypatch, loop)
+    terms = [THREE, parse(r"suc ((\x. suc x) ((\y. y) 2))"), OMEGA]
+    terms += [gen_term(rng, size=10) for _ in range(200)]
+    for t in terms:
+        k, a, b = rng.randrange(6), rng.randrange(24), rng.randrange(40)
+        d = inner = start(t)
+        taken = 0
+        while taken < k and type(ob := inner.observe()) is D.Later:
+            inner, taken = ob.rest, taken + 1
+        want = answer(t, taken + a)
+        if want is not D.TIMEOUT:
+            want = D.Converged(want.value, want.steps - taken)
+        assert D.run_fuel(inner, a) == want, (show(t), k, a)
+        before = calls[0]
+        assert observed(inner, a) == want, (show(t), k, a)
+        assert calls[0] == before  # the steps run_fuel took are kept, not run again
+        assert D.run_fuel(d, b) == answer(t, b), (show(t), k, a, b)
+        assert observed(d, b + 5) == answer(t, b + 5), (show(t), k, a, b)
+
+
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+def test_a_timed_out_run_asked_for_more_answers_as_run_does(back_end, rng):
+    start, answer, _ = BACK_ENDS[back_end]
+    for t in [THREE, OMEGA] + [gen_term(rng, size=10) for _ in range(100)]:
+        for fuel in (0, 1, 2, 9):
+            d = start(t)
+            assert D.run_fuel(d, fuel) == answer(t, fuel)
+            assert D.run_fuel(d, 10 * fuel) == answer(t, 10 * fuel), (show(t), fuel)
+
+
 # --- runs that only want the answer ----------------------------------------
 
 
