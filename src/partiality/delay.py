@@ -123,12 +123,61 @@ def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
     ``TypeError``.
     """
     fuel = _check_fuel(fuel)
+    if type(d) is _Call and d._machine is not None:  # a back end's loop, run once
+        return d._enter(fuel)
     steps = 0
     while type(d := d._next()) is not Now:
         if steps == fuel:
             return TIMEOUT
         steps += 1
     return Converged(d.value, steps)
+
+
+def _behind(k: int, d: "Now | Delay") -> "Now | Delay":
+    # `k` steps, then `d`, each node built as the one before is stepped; never() stays itself
+    return d if k == 0 or d is _NEVER else Delay(lambda: _behind(k - 1, d))
+
+
+class _Call(Delay):
+    """A step of a run of a back end: the code or term and the environment a
+    call enters, and the run's machine, which all of its steps share.  As a
+    ``Delay`` keeps its thunk in ``_step`` until it runs, the node keeps its
+    loop there until its step runs.  ``loop(code, env, machine, budget)``
+    runs through up to ``budget`` steps in place and returns the node of the
+    step after them, or ``Converged(value, budget left)``.  A node's step is
+    its loop with budget 0; ``run_fuel`` runs the loop of the node it is
+    given once, with the whole fuel as the budget, and the node's step
+    becomes the steps the loop took, each built only when the one before is
+    stepped, ending at the node it stopped at or at the value.  Either way
+    only the node the loop stopped at can reach the machine, and a held head
+    keeps no node that ``run_fuel`` passed."""
+
+    __slots__ = ("_code", "_env", "_machine")
+
+    def __init__(self, loop, code, env: tuple, machine):
+        self._code, self._env, self._machine = code, env, machine
+        self._step, self._layer = loop, None
+
+    def _next(self) -> "Now | Delay":
+        # the step of ``_enter(0)``, with no answer built
+        if self._machine is not None:
+            r = self._step(self._code, self._env, self._machine, 0)
+            self._step = r if type(r) is _Call else Now(r.value)
+            self._code = self._env = self._machine = None
+        return self._step
+
+    def _enter(self, budget: int) -> Converged | Marker:
+        r = self._step(self._code, self._env, self._machine, budget)
+        answer = _answer(r, budget)
+        self._step = _behind(budget, r) if answer is TIMEOUT else _behind(answer.steps, Now(answer.value))
+        self._code = self._env = self._machine = None
+        return answer
+
+
+def _answer(r: "Converged | _Call", budget: int) -> Converged | Marker:
+    # a back end loop's result with ``budget`` as ``run_fuel``'s answer: the
+    # value after the steps it took, or ``TIMEOUT`` at the node it stopped at
+    return Converged(r.value, budget - r.steps) if type(r) is Converged else TIMEOUT
 
 
 def bind(d: Delay, f: Callable[[Any], Delay]) -> Delay:

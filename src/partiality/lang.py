@@ -52,7 +52,7 @@ import random
 from typing import Any
 
 from ._record import Marker, Record, _int_text, _read_int
-from .delay import TIMEOUT, Converged, Delay, Now, _check_fuel
+from .delay import TIMEOUT, Converged, Delay, Now, _Call, _answer, _check_fuel
 from .seq import Verdict
 
 
@@ -227,37 +227,9 @@ def disassemble(code: tuple) -> list[str]:
             indent, rest = outer.pop()
 
 
-class _Call(Delay):
-    """One step of a run of either back end: the code or term and the
-    environment a call enters, and the run's ``(stack, frames)`` or stack of
-    continuations, which all of its steps share.  As a ``Delay`` keeps its
-    thunk in ``_step`` until it runs, the node keeps its loop, ``_run`` or
-    ``_eval``, there until its step runs; ``run`` and ``run_code`` call the
-    loop with the ``int`` that the fuel check gives, and build no node."""
-
-    __slots__ = ("_code", "_env", "_machine")
-
-    def __init__(self, loop, code, env: tuple, machine):
-        self._code, self._env, self._machine = code, env, machine
-        self._step, self._layer = loop, None
-
-    def _next(self) -> "Now | _Call":
-        if self._machine is not None:
-            loop = self._step
-            self._step = loop(self._code, self._env, self._machine, 0)
-            self._code = self._env = self._machine = None
-        return self._step
-
-
-def _end(v, budget: int) -> "Now | Converged":
-    # the value of a run: ``Now(v)`` once the budget is spent, so a step node,
-    # whose budget is 0, keeps it as its step; else ``Converged(v, budget left)``
-    return Converged(v, budget) if budget else Now(v)
-
-
-def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converged | _Call":
+def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Converged | _Call":
     # run through up to ``budget`` closure calls and stop at the next one as
-    # its node, or end at the value of the outermost code (``_end``)
+    # its node, or end at the value of the outermost code with the budget left
     stack, frames = machine
     pc, end = 0, len(code)
     while pc < end:
@@ -267,22 +239,24 @@ def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converg
         if ty is PushVar:
             i = len(env) - 1 - ins.index
             if i < 0 or ins.index < 0:
-                return _end(STUCK, budget)
+                return Converged(STUCK, budget)
             stack.append(env[i])
         elif ty is Apply:
             av = stack.pop()
             fv = stack.pop()
             if type(fv) is not VmClosure:
-                return _end(STUCK, budget)
+                return Converged(STUCK, budget)
             if pc == end or type(code[pc]) is not Ret:
-                frames.append((code, pc, env))  # a tail call, just before Ret, needs none
+                frames += code, pc, env  # a tail call, just before Ret, needs no frame
             if not budget:
                 return _Call(_run, fv.code, fv.env + (av,), machine)
             budget -= 1
             code, pc, env = fv.code, 0, fv.env + (av,)
             end = len(code)
         elif ty is Ret:
-            code, pc, env = frames.pop()
+            env = frames.pop()
+            pc = frames.pop()
+            code = frames.pop()
             end = len(code)
         elif ty is PushClo:
             stack.append(VmClosure(ins.code, env))
@@ -291,11 +265,11 @@ def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Now | Converg
         elif ty is Add1:
             v = stack.pop()
             if type(v) is not Nat:
-                return _end(STUCK, budget)
+                return Converged(STUCK, budget)
             stack.append(Nat(v.n + 1))
         else:
             raise TypeError(f"not an instruction: {ins!r}")
-    return _end(stack[-1], budget)
+    return Converged(stack[-1], budget)
 
 
 def execute(code: tuple) -> Delay:
@@ -314,13 +288,9 @@ def run_code(code: tuple, fuel: int) -> "Converged | Marker":
 
 
 def _spend(loop, start, machine, fuel: int) -> "Converged | Marker":
-    # a back end's loop with the whole fuel as its budget; a loop that stops
-    # at a step node, or ends with ``Now``, has spent all of it
+    # a back end's loop with the whole fuel as its budget
     fuel = _check_fuel(fuel)
-    ob = loop(start, (), machine, fuel)
-    if isinstance(ob, _Call):
-        return TIMEOUT
-    return Converged(ob.value, fuel - ob.steps if type(ob) is Converged else fuel)
+    return _answer(loop(start, (), machine, fuel), fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +311,11 @@ def run(t, fuel: int) -> "Converged | Marker":
 _SUC = object()  # the continuation that takes the successor of a value
 
 
-def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | _Call":
+def _eval(t, env: tuple, konts: list, budget: int) -> "Converged | _Call":
     # evaluate through up to ``budget`` beta reductions and stop at the next
-    # one as its node, or end at the value of the whole run (``_end``); ``konts``
-    # holds ``_SUC``, an argument ``(term, env)`` still to evaluate, or a
-    # function value waiting for its argument's value
+    # one as its node, or end at the value of the whole run with the budget
+    # left; ``konts`` holds ``_SUC``, an argument ``(term, env)`` still to
+    # evaluate, or a function value waiting for its argument's value
     while True:
         ty = type(t)
         if ty is App:
@@ -380,9 +350,9 @@ def _eval(t, env: tuple, konts: list, budget: int) -> "Now | Converged | _Call":
                     t, env = k.body, k.env + (v,)
                     break
                 else:
-                    return _end(STUCK, budget)
+                    return Converged(STUCK, budget)
             else:
-                return _end(v, budget)
+                return Converged(v, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from . import delay as D
 from ._record import Marker, Record
-from .delay import Delay, Now, _check_fuel
+from .delay import Delay, Now, _behind, _check_fuel
 
 
 PENDING = Marker("PENDING", __name__)
@@ -266,11 +266,6 @@ def to_delay(s: Seq) -> Delay:
     source is a ``Delay``, the node its scan reached behind a step per cell
     scanned (so an unscanned ``s`` gives its ``Delay``), else ``_cells`` over ``s.at``."""
     return _behind(s._scanned, s._src) if isinstance(s._src, Delay) else _cells(s.at, 0)
-
-
-def _behind(k: int, d: Delay) -> Delay:
-    # `k` steps, then `d`, each node built as the one before is stepped; never() stays itself
-    return d if k == 0 or d is D.never() else Delay(lambda: _behind(k - 1, d))
 
 
 def _cells(fn: Callable[[int], Any], n: int) -> Delay:
