@@ -14,6 +14,15 @@ scans and ``lang``'s step nodes) take steps through ``_next`` and build no
 ``Later``; ``observe`` wraps the next node in one the first time it is asked,
 and keeps that one, so a walk costs one object per step.
 
+A ``lang`` back end's step node (``_Call``) keeps a loop that runs many
+steps in place.  Given such a node that nobody has stepped yet, ``run_fuel``
+runs its loop once with the whole fuel and leaves the node's step as a chain
+of the steps taken, each built only when the one before is stepped; so it
+builds no node per step, and a caller that holds the node keeps O(1) of
+them.  It tests for that node once, before its walk, so a walk over any
+other node pays nothing for it; a step node met during a walk is stepped
+one node at a time.
+
 ``bind`` builds a node that one loop observes: binds waiting on their source
 sit on an explicit list, so nesting binds costs no Python frames, and each
 node memoizes its own step, so a node shared by several binds runs once.
@@ -144,13 +153,14 @@ class _Call(Delay):
     ``Delay`` keeps its thunk in ``_step`` until it runs, the node keeps its
     loop there until its step runs.  ``loop(code, env, machine, budget)``
     runs through up to ``budget`` steps in place and returns the node of the
-    step after them, or ``Converged(value, budget left)``.  A node's step is
-    its loop with budget 0; ``run_fuel`` runs the loop of the node it is
-    given once, with the whole fuel as the budget, and the node's step
-    becomes the steps the loop took, each built only when the one before is
-    stepped, ending at the node it stopped at or at the value.  Either way
-    only the node the loop stopped at can reach the machine, and a held head
-    keeps no node that ``run_fuel`` passed."""
+    step after them, or ``Converged(value, steps taken)``, which is
+    ``run_fuel``'s answer.  A node's step is its loop with budget 0;
+    ``run_fuel`` runs the loop of the node it is given once, with the whole
+    fuel as the budget, and the node's step becomes the steps the loop took,
+    each built only when the one before is stepped, ending at the node it
+    stopped at or at the value.  Either way only the node the loop stopped
+    at can reach the machine, and a held head keeps no node that
+    ``run_fuel`` passed."""
 
     __slots__ = ("_code", "_env", "_machine")
 
@@ -159,7 +169,7 @@ class _Call(Delay):
         self._step, self._layer = loop, None
 
     def _next(self) -> "Now | Delay":
-        # the step of ``_enter(0)``, with no answer built
+        # the step ``_enter(0)`` leaves, without its chain call: a walk pays this per step
         if self._machine is not None:
             r = self._step(self._code, self._env, self._machine, 0)
             self._step = r if type(r) is _Call else Now(r.value)
@@ -168,16 +178,12 @@ class _Call(Delay):
 
     def _enter(self, budget: int) -> Converged | Marker:
         r = self._step(self._code, self._env, self._machine, budget)
-        answer = _answer(r, budget)
-        self._step = _behind(budget, r) if answer is TIMEOUT else _behind(answer.steps, Now(answer.value))
         self._code = self._env = self._machine = None
-        return answer
-
-
-def _answer(r: "Converged | _Call", budget: int) -> Converged | Marker:
-    # a back end loop's result with ``budget`` as ``run_fuel``'s answer: the
-    # value after the steps it took, or ``TIMEOUT`` at the node it stopped at
-    return Converged(r.value, budget - r.steps) if type(r) is Converged else TIMEOUT
+        if type(r) is _Call:
+            self._step = _behind(budget, r)
+            return TIMEOUT
+        self._step = _behind(r.steps, Now(r.value))
+        return r
 
 
 def bind(d: Delay, f: Callable[[Any], Delay]) -> Delay:

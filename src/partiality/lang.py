@@ -24,18 +24,24 @@ terms use de Bruijn indices: under ``d`` binders, a variable is bound when
   per closure call, whose code ``disassemble`` lists one instruction a line.
   A step is one node that holds the code and environment the call enters
   and the run's stack and frames; a module-level loop runs it to the next
-  call, so a run builds no closure and no reference cycle.  ``compile_term``
-  and ``disassemble`` keep their own stacks, so code may nest to any depth.
+  call, so a run builds no closure and no reference cycle.  A call that is
+  not in tail position pushes its return point, ``code``, ``pc`` and
+  ``env``, as three entries of the frame stack.  ``compile_term`` and
+  ``disassemble`` keep their own stacks, so code may nest to any depth.
 
 Each back end has one loop, and it takes a budget: it runs through calls or
 beta reductions in place while the budget lasts, and returns the step it
-stops at as a node.  A node's step is that loop with budget 0.  One node
-class serves both back ends: as a ``Delay`` keeps its thunk in ``_step``
-until it runs, a node keeps its loop there until its step runs.  A run
-that only wants the answer goes through ``run`` or ``run_code``, the loop
-with the whole fuel as its budget, which builds no node per step and answers
-exactly as ``run_fuel`` over ``evaluate`` or ``execute`` would.  The one
-fuel check yields the ``int`` that budget counts with.
+stops at as a node, or ``run_fuel``'s answer, ``Converged(value, steps)``,
+which ``_end`` makes from the budget it had and the budget left.  The node
+class, ``delay._Call``, serves both back ends: as a ``Delay`` keeps its
+thunk in ``_step`` until it runs, a node keeps its loop there until its step
+runs.  A node's step is that loop with budget 0, and ``run_fuel`` over a
+node nobody has stepped runs the loop once with the whole fuel, so it builds
+no node per step either.  A run that only wants the answer goes through
+``run`` or ``run_code``, the loop with the whole fuel as its budget called
+directly, which answers exactly as ``run_fuel`` over ``evaluate`` or
+``execute`` would.  The one fuel check yields the ``int`` that budget counts
+with.
 
 Both get stuck on the same ill-typed operations (calling a number, taking
 the successor of a function), and stuckness is abortive: the first stuck
@@ -52,7 +58,7 @@ import random
 from typing import Any
 
 from ._record import Marker, Record, _int_text, _read_int
-from .delay import TIMEOUT, Converged, Delay, Now, _Call, _answer, _check_fuel
+from .delay import TIMEOUT, Converged, Delay, Now, _Call, _check_fuel
 from .seq import Verdict
 
 
@@ -227,10 +233,17 @@ def disassemble(code: tuple) -> list[str]:
             indent, rest = outer.pop()
 
 
+def _end(v, budget: int, left: int) -> Converged:
+    # the value of a loop given ``budget`` that ended with ``left`` of it: the
+    # one place where a budget becomes steps
+    return Converged(v, budget - left)
+
+
 def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Converged | _Call":
     # run through up to ``budget`` closure calls and stop at the next one as
-    # its node, or end at the value of the outermost code with the budget left
+    # its node, or end at the value of the outermost code (``_end``)
     stack, frames = machine
+    left = budget
     pc, end = 0, len(code)
     while pc < end:
         ins = code[pc]
@@ -239,18 +252,18 @@ def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Converged | _
         if ty is PushVar:
             i = len(env) - 1 - ins.index
             if i < 0 or ins.index < 0:
-                return Converged(STUCK, budget)
+                return _end(STUCK, budget, left)
             stack.append(env[i])
         elif ty is Apply:
             av = stack.pop()
             fv = stack.pop()
             if type(fv) is not VmClosure:
-                return Converged(STUCK, budget)
+                return _end(STUCK, budget, left)
             if pc == end or type(code[pc]) is not Ret:
                 frames += code, pc, env  # a tail call, just before Ret, needs no frame
-            if not budget:
+            if not left:
                 return _Call(_run, fv.code, fv.env + (av,), machine)
-            budget -= 1
+            left -= 1
             code, pc, env = fv.code, 0, fv.env + (av,)
             end = len(code)
         elif ty is Ret:
@@ -265,11 +278,11 @@ def _run(code: tuple, env: tuple, machine: tuple, budget: int) -> "Converged | _
         elif ty is Add1:
             v = stack.pop()
             if type(v) is not Nat:
-                return Converged(STUCK, budget)
+                return _end(STUCK, budget, left)
             stack.append(Nat(v.n + 1))
         else:
             raise TypeError(f"not an instruction: {ins!r}")
-    return Converged(stack[-1], budget)
+    return _end(stack[-1], budget, left)
 
 
 def execute(code: tuple) -> Delay:
@@ -290,7 +303,8 @@ def run_code(code: tuple, fuel: int) -> "Converged | Marker":
 def _spend(loop, start, machine, fuel: int) -> "Converged | Marker":
     # a back end's loop with the whole fuel as its budget
     fuel = _check_fuel(fuel)
-    return _answer(loop(start, (), machine, fuel), fuel)
+    r = loop(start, (), machine, fuel)
+    return TIMEOUT if type(r) is _Call else r
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +327,10 @@ _SUC = object()  # the continuation that takes the successor of a value
 
 def _eval(t, env: tuple, konts: list, budget: int) -> "Converged | _Call":
     # evaluate through up to ``budget`` beta reductions and stop at the next
-    # one as its node, or end at the value of the whole run with the budget
-    # left; ``konts`` holds ``_SUC``, an argument ``(term, env)`` still to
+    # one as its node, or end at the value of the whole run (``_end``);
+    # ``konts`` holds ``_SUC``, an argument ``(term, env)`` still to
     # evaluate, or a function value waiting for its argument's value
+    left = budget
     while True:
         ty = type(t)
         if ty is App:
@@ -344,15 +359,15 @@ def _eval(t, env: tuple, konts: list, budget: int) -> "Converged | _Call":
                     t, env = k
                     break
                 elif type(k) is Closure:
-                    if not budget:
+                    if not left:
                         return _Call(_eval, k.body, k.env + (v,), konts)
-                    budget -= 1
+                    left -= 1
                     t, env = k.body, k.env + (v,)
                     break
                 else:
-                    return Converged(STUCK, budget)
+                    return _end(STUCK, budget, left)
             else:
-                return Converged(v, budget)
+                return _end(v, budget, left)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,39 @@ def vm(t, fuel=1000):
     return D.run_fuel(execute(compile_term(t)), fuel)
 
 
+THREE = parse(r"(\f. f (f 1)) (\x. suc x)")
+
+# per back end: a run's head, the answer of its budgeted loop, and the loop's name
+BACK_ENDS = {
+    "interpreter": (evaluate, lang.run, "_eval"),
+    "vm": (lambda t: execute(compile_term(t)), lambda t, fuel: lang.run_code(compile_term(t), fuel), "_run"),
+}
+
+
+def observed(d, fuel):
+    # run_fuel's answer, taken one observed layer at a time
+    for steps in range(fuel + 1):
+        ob = d.observe()
+        if type(ob) is D.Now:
+            return D.Converged(ob.value, steps)
+        d = ob.rest
+    return D.TIMEOUT
+
+
+def counted_loop(monkeypatch, name):
+    # a one-item list that counts the calls of lang's loop `name` by every
+    # step node built from here on
+    calls = [0]
+    inner = getattr(lang, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(lang, name, counting)
+    return calls
+
+
 # --- parsing ---------------------------------------------------------------
 
 
@@ -498,14 +531,7 @@ def test_vm_step_observed_again_later_returns_its_memo(monkeypatch):
     d = execute(compile_term(parse(r"(\f. f (f 1)) (\x. suc x)")))
     first = d.observe()
     assert D.run_fuel(first.rest, 10) == D.Converged(Nat(3), 2)
-    calls = [0]
-    run = lang._run
-
-    def counting_run(*args):
-        calls[0] += 1
-        return run(*args)
-
-    monkeypatch.setattr(lang, "_run", counting_run)
+    calls = counted_loop(monkeypatch, "_run")
     assert d.observe() is first
     assert D.run_fuel(d, 10) == D.Converged(Nat(3), 3)
     assert calls[0] == 0
@@ -574,14 +600,7 @@ def test_interpreter_step_observed_again_later_returns_its_memo(monkeypatch):
     d = evaluate(parse(r"(\f. f (f 1)) (\x. suc x)"))
     first = d.observe()
     assert D.run_fuel(first.rest, 10) == D.Converged(Nat(3), 2)
-    calls = [0]
-    inner = lang._eval
-
-    def counting_eval(*args):
-        calls[0] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(lang, "_eval", counting_eval)
+    calls = counted_loop(monkeypatch, "_eval")
     assert d.observe() is first
     assert D.run_fuel(d, 10) == D.Converged(Nat(3), 3)
     assert calls[0] == 0
@@ -608,39 +627,6 @@ def test_interpreter_runs_leave_no_reference_cycles():
 
 
 # --- run_fuel over a run that someone holds ---------------------------------
-
-THREE = parse(r"(\f. f (f 1)) (\x. suc x)")
-
-# per back end: a run's head, the answer of its budgeted loop, and the loop's name
-BACK_ENDS = {
-    "interpreter": (evaluate, lang.run, "_eval"),
-    "vm": (lambda t: execute(compile_term(t)), lambda t, fuel: lang.run_code(compile_term(t), fuel), "_run"),
-}
-
-
-def observed(d, fuel):
-    # run_fuel's answer, taken one observed layer at a time
-    for steps in range(fuel + 1):
-        ob = d.observe()
-        if type(ob) is D.Now:
-            return D.Converged(ob.value, steps)
-        d = ob.rest
-    return D.TIMEOUT
-
-
-def counted_loop(monkeypatch, name):
-    # a one-item list that counts the calls of lang's loop `name` by every
-    # step node built from here on
-    calls = [0]
-    inner = getattr(lang, name)
-
-    def counting(*args):
-        calls[0] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(lang, name, counting)
-    return calls
-
 
 @pytest.mark.parametrize("back_end", BACK_ENDS)
 def test_run_fuel_keeps_no_node_of_a_held_run(back_end):
