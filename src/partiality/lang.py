@@ -58,7 +58,7 @@ import random
 from typing import Any
 
 from ._record import Marker, Record, _int_text, _read_int
-from .delay import TIMEOUT, Converged, Delay, Now, _Call, _check_fuel
+from .delay import TIMEOUT, Converged, Delay, _Call, _check_fuel
 from .seq import Verdict
 
 
