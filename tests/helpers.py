@@ -1,10 +1,12 @@
 """Shared randomized generators with known shapes, used as test oracles, a
-CLI call that reports what it printed, and the memory peak of a call."""
+CLI call that reports what it printed, the memory peak of a call, and an
+interrupt raised at a chosen opcode."""
 
 import contextlib
 import gc
 import io
 import random
+import sys
 import tracemalloc
 
 from partiality import cli, seq
@@ -93,3 +95,35 @@ def peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def interrupt_at(n, *functions):
+    """Within the block, the ``n``-th opcode run in a frame of one of
+    ``functions`` raises ``KeyboardInterrupt``, once.  Counted with
+    ``sys.settrace`` and ``f_trace_opcodes``, so the same calls are
+    interrupted at the same point on every run.  Yields a one-item list that
+    says whether the interrupt was raised."""
+    codes = {f.__code__ for f in functions}
+    seen, fired = [0], [False]
+
+    def opcodes(frame, event, arg):
+        if event == "opcode" and not fired[0]:
+            seen[0] += 1
+            if seen[0] == n:
+                fired[0] = True
+                raise KeyboardInterrupt
+        return opcodes
+
+    def calls(frame, event, arg):
+        if frame.f_code in codes and not fired[0]:
+            frame.f_trace_opcodes = True
+            return opcodes
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        yield fired
+    finally:
+        sys.settrace(before)

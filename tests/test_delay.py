@@ -216,6 +216,34 @@ def test_bind_that_needs_its_own_value_is_an_error():
             d.observe()
 
 
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="ROADMAP item 17: a thunk that reads its own node re-enters itself")
+def test_a_thunk_that_needs_its_own_step_is_an_error():
+    # as a bind that needs its own value is; each ask raises it again
+    d = D.defer(lambda: D.now(d.observe()))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="its own step"):
+            d.observe()
+    e = D.defer(lambda: D.now(D.run_fuel(e, 5)))
+    with pytest.raises(ValueError, match="its own step"):
+        D.run_fuel(e, 5)
+
+
+def test_a_thunk_that_raised_runs_again_when_asked_again():
+    calls = []
+
+    def step():
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return D.now("x")
+
+    d = D.defer(step)
+    with pytest.raises(KeyboardInterrupt):
+        d.observe()
+    assert D.run_fuel(d, 3) == D.Converged("x", 1)
+    assert calls == [0, 1]
+
 def test_observation_after_an_exception_resumes():
     calls = []
 

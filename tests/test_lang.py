@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from partiality.lang import (
     agree_within, compile_term, evaluate, execute, gen_term, parse, show,
 )
 from partiality.seq import Verdict
-from helpers import peak
+from helpers import interrupt_at, peak
 
 
 def run(t, fuel=1000):
@@ -673,6 +674,88 @@ def test_a_timed_out_run_asked_for_more_answers_as_run_does(back_end, rng):
             d = start(t)
             assert D.run_fuel(d, fuel) == answer(t, fuel)
             assert D.run_fuel(d, 10 * fuel) == answer(t, 10 * fuel), (show(t), fuel)
+
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 16: a held head asked again steps the machine one kept node at a time")
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+def test_run_fuel_keeps_no_node_of_a_held_run_asked_again(back_end):
+    start = BACK_ENDS[back_end][0]
+
+    def again(fuel):
+        d = start(OMEGA)
+        D.run_fuel(d, fuel)
+        return peak(lambda: D.run_fuel(d, 2 * fuel))
+
+    again(10)
+    assert again(10**5) <= again(10**4) + 2048
+
+
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+def test_a_held_run_asked_three_times_answers_as_run_does(back_end, rng):
+    start, answer, _ = BACK_ENDS[back_end]
+    for t in [THREE, OMEGA] + [gen_term(rng, size=rng.randrange(2, 13)) for _ in range(300)]:
+        d = start(t)
+        a, b = rng.randrange(40), rng.randrange(40)
+        for fuel in (a, b, b + 5):
+            assert D.run_fuel(d, fuel) == answer(t, fuel), (show(t), a, b, fuel)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 16: a scan of a step node steps it one node at a time")
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+def test_a_scan_of_a_run_runs_its_loop_once(back_end, monkeypatch):
+    start, answer, loop = BACK_ENDS[back_end]
+    calls = counted_loop(monkeypatch, loop)
+    for t, fuel in ((THREE, 10), (THREE, 2), (OMEGA, 10**4)):
+        want = answer(t, fuel)
+        calls[0] = 0
+        got = seq.converges_within(seq.of_delay(start(t)), fuel)
+        assert got == (None if want is D.TIMEOUT else seq.Witness(want.value, want.steps))
+        assert calls[0] == 1, (show(t), fuel)
+
+
+# --- a run asked again after an interrupt -----------------------------------
+
+# a pinned pool: 60 terms of sizes 4 to 9, each interrupted at every third
+# opcode of its first ask that its loop reaches, then asked at three fuels
+INTERRUPTED = [gen_term(r, r.randrange(4, 10)) for r in [random.Random(7)] for _ in range(60)]
+INTERRUPT_FUEL = 40
+
+
+def interrupted_asks(back_end):
+    # per term, opcode position and fuel: what an ask of the interrupted node
+    # gave, and what run/run_code gives
+    start, answer, loop = BACK_ENDS[back_end]
+    for t in INTERRUPTED:
+        wants = {fuel: answer(t, fuel) for fuel in (INTERRUPT_FUEL, 0, 3 * INTERRUPT_FUEL)}
+        for n in range(1, 1000, 3):
+            d = start(t)
+            with interrupt_at(n, getattr(lang, loop)) as fired:
+                try:
+                    first = D.run_fuel(d, INTERRUPT_FUEL)
+                except KeyboardInterrupt:
+                    pass
+            if not fired[0]:  # the whole first ask took fewer than n opcodes
+                assert first == wants[INTERRUPT_FUEL], show(t)
+                break
+            for fuel, want in wants.items():
+                try:
+                    got = D.run_fuel(d, fuel)
+                except D.BrokenRunError as err:
+                    assert type(err.__cause__) is KeyboardInterrupt
+                    got = "broken"
+                yield t, n, fuel, got, want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17: a step node is entered again over the stack its interrupted loop left half updated")
+def test_an_interrupted_interpreter_run_asked_again_answers_right_or_names_its_failure():
+    for t, n, fuel, got, want in interrupted_asks("interpreter"):
+        assert got in ("broken", want), (show(t), n, fuel)
+
+
+def test_an_interrupted_vm_run_asked_again_answers_right_or_names_its_failure():
+    for t, n, fuel, got, want in interrupted_asks("vm"):
+        assert got in ("broken", want), (show(t), n, fuel)
 
 
 @pytest.fixture
