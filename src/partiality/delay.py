@@ -15,13 +15,17 @@ scans and ``lang``'s step nodes) take steps through ``_next`` and build no
 and keeps that one, so a walk costs one object per step.
 
 A ``lang`` back end's step node (``_Call``) keeps a loop that runs many
-steps in place.  Given such a node that nobody has stepped yet, ``run_fuel``
-runs its loop once with the whole fuel and leaves the node's step as a chain
-of the steps taken, each built only when the one before is stepped; so it
-builds no node per step, and a caller that holds the node keeps O(1) of
-them.  It tests for that node once, before its walk, so a walk over any
-other node pays nothing for it; a step node met during a walk is stepped
-one node at a time.
+steps in place.  ``run_fuel``, and a ``seq`` scan through the same helper,
+leaps before it walks: a step node that nobody has stepped runs its loop
+once with the fuel left, and its step becomes the chain of the steps taken
+(``_Behind``), each built only when the one before is stepped; a stepped
+node is followed to its step; such a chain is passed at once, its length
+counted; and ``never()`` is ``TIMEOUT`` at any fuel.  So a run builds no
+node per step, and a caller that holds its head, and asks again, keeps O(1)
+of them.  The first node that is none of these is walked one step at a
+time, and so is all after it, a step node too: the walk pays nothing for
+the leap.  A step node whose loop raised raises ``BrokenRunError`` when
+asked again, and a thunk that needs its own node's step a ``ValueError``.
 
 ``bind`` builds a node that one loop observes: binds waiting on their source
 sit on an explicit list, so nesting binds costs no Python frames, and each
@@ -55,12 +59,19 @@ class Delay:
 
     def _next(self) -> "Now | Delay":
         # The step: ``Now(value)``, or the next node, with no ``Later`` built.
-        step = self._step
-        if callable(step):  # the thunk, not run yet
-            step = step()
-            if type(step) is Later:
-                self._layer, step = step, step.rest
-            self._step = step
+        # While the thunk runs the step is ``_running``; if it raises, the thunk is put back.
+        thunk = self._step
+        if not callable(thunk):
+            return thunk
+        self._step = _running
+        try:
+            step = thunk()
+        except BaseException:
+            self._step = thunk
+            raise
+        if type(step) is Later:
+            self._layer, step = step, step.rest
+        self._step = step
         return step
 
     def observe(self) -> "Now | Later":
@@ -122,6 +133,11 @@ def _check_fuel(fuel: int, name: str = "fuel") -> int:
     return n
 
 
+def _running():
+    # a node's step while its thunk runs, so a thunk that needs that step calls this
+    raise ValueError("a thunk needs its own step before it takes it")
+
+
 def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
     """Peel at most ``fuel`` steps off ``d``.
 
@@ -132,19 +148,73 @@ def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
     ``TypeError``.
     """
     fuel = _check_fuel(fuel)
-    if type(d) is _Call and d._machine is not None:  # a back end's loop, run once
-        return d._enter(fuel)
-    steps = 0
-    while type(d := d._next()) is not Now:
+    d, steps = _leap(d, 0, fuel)
+    while type(d) is not Now:
         if steps == fuel:
             return TIMEOUT
         steps += 1
+        d = d._next()
     return Converged(d.value, steps)
 
 
+def _leap(d: Delay, steps: int, fuel: int) -> "tuple[Now | Delay, int]":
+    # The step of a node at most `fuel` in, and how far in that node is, from
+    # `d`, the node `steps` in (`steps <= fuel`).  It passes at once every chain
+    # whose length is known, a run's loop and never(), and stops at the first
+    # node that is none of those, with its step; a walk a step at a time goes on.
+    while True:
+        ty = type(d)
+        if ty is _Call and d._machine is not None:  # a run nobody has stepped: its loop, once
+            d, k = d._enter(fuel - steps)
+            return d, steps + k
+        if ty is _Behind and d._step is None:  # k steps to `to`, none of them built
+            k, to = d._k, d._d
+            if type(to) is Now or steps + k > fuel:
+                j = min(k - 1, fuel - steps)
+                return _behind(k - 1 - j, to), steps + j
+            d, steps = to, steps + k
+        elif ty is _Call or ty is _Behind:  # stepped: its step is kept
+            step = d._step
+            if type(step) is Now or steps == fuel:
+                return step, steps
+            d, steps = step, steps + 1
+        elif d is _NEVER:
+            return d, fuel
+        else:
+            return d._next(), steps
+
+
 def _behind(k: int, d: "Now | Delay") -> "Now | Delay":
-    # `k` steps, then `d`, each node built as the one before is stepped; never() stays itself
-    return d if k == 0 or d is _NEVER else Delay(lambda: _behind(k - 1, d))
+    # `k` steps, then `d`; never() stays itself
+    return d if k == 0 or d is _NEVER else _Behind(k, d)
+
+
+class _Behind(Delay):
+    """``k`` steps, then ``d``, a ``Now`` or a node: the chain of steps a loop
+    took, or a scan passed.  Stepped, it builds the same chain one step
+    shorter; ``_leap`` passes the chain without building it."""
+
+    __slots__ = ("_k", "_d")
+
+    def __init__(self, k: int, d: "Now | Delay"):
+        self._k, self._d = k, d
+        self._step = self._layer = None
+
+    def _next(self) -> "Now | Delay":
+        if self._step is None:
+            self._step = _behind(self._k - 1, self._d)
+        return self._step
+
+
+class BrokenRunError(RuntimeError):
+    """A step of a ``lang`` run whose loop raised, asked again.  The loop
+    left the run's machine half updated, so the step cannot be taken; the
+    exception that the loop raised is the cause."""
+
+
+def _broken(err: BaseException, env, machine, budget: int):
+    # the loop of a node whose loop raised `err`, which the node keeps as its code
+    raise BrokenRunError("a step of this run raised, and left its machine half updated") from err
 
 
 class _Call(Delay):
@@ -153,14 +223,14 @@ class _Call(Delay):
     ``Delay`` keeps its thunk in ``_step`` until it runs, the node keeps its
     loop there until its step runs.  ``loop(code, env, machine, budget)``
     runs through up to ``budget`` steps in place and returns the node of the
-    step after them, or ``Converged(value, steps taken)``, which is
-    ``run_fuel``'s answer.  A node's step is its loop with budget 0;
-    ``run_fuel`` runs the loop of the node it is given once, with the whole
-    fuel as the budget, and the node's step becomes the steps the loop took,
-    each built only when the one before is stepped, ending at the node it
-    stopped at or at the value.  Either way only the node the loop stopped
-    at can reach the machine, and a held head keeps no node that
-    ``run_fuel`` passed."""
+    step after them, or ``Converged(value, steps taken)``.  A node's step is
+    its loop with budget 0; ``_leap`` runs the loop once, with the fuel left
+    as the budget, and the node's step becomes the steps the loop took, a
+    ``_Behind`` chain ending at the node it stopped at or at the value.
+    Either way only the node the loop stopped at can reach the machine, and
+    a held head keeps no node that ``run_fuel`` passed.  A loop that raises
+    leaves the machine half updated, so the node keeps the exception as its
+    code and ``_broken`` as its loop, which raises ``BrokenRunError``."""
 
     __slots__ = ("_code", "_env", "_machine")
 
@@ -169,20 +239,29 @@ class _Call(Delay):
         self._step, self._layer = loop, None
 
     def _next(self) -> "Now | Delay":
-        # the step ``_enter(0)`` leaves, without its chain call: a walk pays this per step
+        # the step ``_enter(0)`` leaves, without its chain: a walk pays this per step
         if self._machine is not None:
-            r = self._step(self._code, self._env, self._machine, 0)
+            r = self._loop(0)
             self._step = r if type(r) is _Call else Now(r.value)
-            self._code = self._env = self._machine = None
         return self._step
 
-    def _enter(self, budget: int) -> Converged | Marker:
-        r = self._step(self._code, self._env, self._machine, budget)
+    def _enter(self, budget: int) -> "tuple[Now | _Call, int]":
+        # the loop with ``budget``; as ``_leap`` answers, the node it stopped
+        # at or the value, and the steps to the node whose step that is
+        r = self._loop(budget)
+        to, k = (r, budget) if type(r) is _Call else (Now(r.value), r.steps)
+        self._step = _behind(k, to)
+        return to, k
+
+    def _loop(self, budget: int) -> "Converged | _Call":
+        # the loop, run once; one that raises leaves the node broken for good
+        try:
+            r = self._step(self._code, self._env, self._machine, budget)
+        except BaseException as err:
+            if self._step is not _broken:
+                self._step, self._code = _broken, err
+            raise
         self._code = self._env = self._machine = None
-        if type(r) is _Call:
-            self._step = _behind(budget, r)
-            return TIMEOUT
-        self._step = _behind(r.steps, Now(r.value))
         return r
 
 

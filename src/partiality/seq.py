@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from . import delay as D
 from ._record import Marker, Record
-from .delay import Delay, Now, _behind, _check_fuel
+from .delay import Delay, Now, _behind, _check_fuel, _leap
 
 
 PENDING = Marker("PENDING", __name__)
@@ -166,12 +166,16 @@ class Seq:
         try:
             if isinstance(it, Delay):  # `it` is the node k steps in; none behind it is kept
                 try:
-                    while k <= n and type(it := it._next()) is not Now:
+                    it, k = _leap(it, k, n)  # the step of the node k steps in
+                    while type(it) is not Now and k < n:
                         k += 1
+                        it = it._next()
                 except StopIteration as stop:  # a failing step, not a finished producer
                     raise RuntimeError("a step raised StopIteration") from stop
-                if k <= n:  # `it` is the value's Now: the sequence is complete
+                if type(it) is Now:  # the sequence is complete
                     self._done, self._done_at, k, it = Done(it.value), k, inf, None
+                else:
+                    k += 1  # `it` is the node n + 1 steps in
             elif k == 0:
                 it = it()  # the producer: rebinding `it` keeps no source it moves past
             while k <= n:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,47 @@ def test_exact_fuel_is_enough():
 
 def test_never_times_out():
     assert D.run_fuel(D.never(), 1000) is D.TIMEOUT
+
+
+def test_never_times_out_at_once_at_any_fuel():
+    # its answer is known: no step of it is taken
+    start = time.perf_counter()
+    assert D.run_fuel(D.never(), 10**12) is D.TIMEOUT
+    assert D.run_fuel(D.never(), 10**30) is D.TIMEOUT
+    assert time.perf_counter() - start < 1
+
+
+def plain(k, to):
+    # k steps, then `to`, as a chain of plain nodes
+    if type(to) is D.Now:
+        return laters_n(D.Delay(to), k - 1)
+    return laters_n(to, k)
+
+
+@given(st.integers(1, 8), st.sampled_from(["now", "later", "never"]), st.integers(0, 10), st.integers(0, 20))
+def test_a_chain_of_known_length_answers_as_its_steps_do(k, kind, observed, fuel):
+    # behind k steps: a value, a node two steps from its value, or never();
+    # some of the chain observed first, then asked as run_fuel and as a scan
+    to = {"now": D.Now("v"), "later": laters_n(D.now("v"), 2), "never": D.never()}[kind]
+    d = e = D._behind(k, to)
+    for _ in range(observed):
+        if type(ob := e.observe()) is D.Now:
+            break
+        e = ob.rest
+    want = D.run_fuel(plain(k, to), fuel)
+    assert D.run_fuel(d, fuel) == want
+    w = seq.converges_within(seq.of_delay(d), fuel)
+    assert w == (None if want is D.TIMEOUT else seq.Witness(want.value, want.steps))
+
+
+def test_a_chain_of_known_length_is_passed_at_once():
+    n = 10**12
+    for d, steps in ((D._behind(n, D.Now("v")), n - 1), (D._behind(n, D.now("v")), n),
+                     (D._behind(n, D._behind(n, D.now("v"))), 2 * n)):
+        assert D.run_fuel(d, steps) == D.Converged("v", steps)
+        assert D.run_fuel(d, steps - 1) is D.TIMEOUT
+        assert seq.converges_within(seq.of_delay(d), steps) == seq.Witness("v", steps)
+    assert D.run_fuel(D._behind(n, D.never()), 2 * n) is D.TIMEOUT
 
 
 def test_negative_fuel_is_rejected():
@@ -216,8 +259,6 @@ def test_bind_that_needs_its_own_value_is_an_error():
             d.observe()
 
 
-
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="ROADMAP item 17: a thunk that reads its own node re-enters itself")
 def test_a_thunk_that_needs_its_own_step_is_an_error():
     # as a bind that needs its own value is; each ask raises it again
     d = D.defer(lambda: D.now(d.observe()))
@@ -345,6 +386,16 @@ def _scanned(s):
     return s
 
 
+def _at(s, n):
+    s.at(n)
+    return s
+
+
+def _asked(d, fuel):
+    D.run_fuel(d, fuel)
+    return d
+
+
 NODE_KINDS = {
     "thunk": _user_chain,
     "thunk_giving_a_node": lambda calls: D.Delay(counted(calls, "thunk", lambda: laters_n(D.now(1), 2))),
@@ -359,6 +410,8 @@ NODE_KINDS = {
     "to_delay": lambda calls: seq.to_delay(_scanned(seq.of_delay(laters_n(D.now(3), 4)))),
     "evaluate": lambda calls: lang.evaluate(TWICE),
     "execute": lambda calls: lang.execute(lang.compile_term(TWICE)),
+    "evaluate_asked_before": lambda calls: _asked(lang.evaluate(TWICE), 1),
+    "to_delay_of_a_run": lambda calls: seq.to_delay(_at(seq.of_delay(lang.execute(lang.compile_term(TWICE))), 1)),
 }
 
 
@@ -374,7 +427,8 @@ def shape(layers):
     return [layer.value if type(layer) is D.Now else "later" for layer in layers]
 
 
-LOOPS = {"evaluate": "_eval", "execute": "_run"}  # the loop each back end's nodes step with
+# the loop each back end's nodes step with
+LOOPS = {"evaluate": "_eval", "execute": "_run", "evaluate_asked_before": "_eval", "to_delay_of_a_run": "_run"}
 
 
 @pytest.mark.parametrize("kind", NODE_KINDS)

@@ -677,7 +677,6 @@ def test_a_timed_out_run_asked_for_more_answers_as_run_does(back_end, rng):
 
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 16: a held head asked again steps the machine one kept node at a time")
 @pytest.mark.parametrize("back_end", BACK_ENDS)
 def test_run_fuel_keeps_no_node_of_a_held_run_asked_again(back_end):
     start = BACK_ENDS[back_end][0]
@@ -701,7 +700,6 @@ def test_a_held_run_asked_three_times_answers_as_run_does(back_end, rng):
             assert D.run_fuel(d, fuel) == answer(t, fuel), (show(t), a, b, fuel)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 16: a scan of a step node steps it one node at a time")
 @pytest.mark.parametrize("back_end", BACK_ENDS)
 def test_a_scan_of_a_run_runs_its_loop_once(back_end, monkeypatch):
     start, answer, loop = BACK_ENDS[back_end]
@@ -747,7 +745,6 @@ def interrupted_asks(back_end):
                 yield t, n, fuel, got, want
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17: a step node is entered again over the stack its interrupted loop left half updated")
 def test_an_interrupted_interpreter_run_asked_again_answers_right_or_names_its_failure():
     for t, n, fuel, got, want in interrupted_asks("interpreter"):
         assert got in ("broken", want), (show(t), n, fuel)
@@ -756,6 +753,35 @@ def test_an_interrupted_interpreter_run_asked_again_answers_right_or_names_its_f
 def test_an_interrupted_vm_run_asked_again_answers_right_or_names_its_failure():
     for t, n, fuel, got, want in interrupted_asks("vm"):
         assert got in ("broken", want), (show(t), n, fuel)
+
+
+# per back end, a run whose loop raises a TypeError
+RAISING = {
+    "interpreter": lambda: evaluate(App(Lam(Var(0)), App(Lit(0), "x"))),
+    "vm": lambda: execute((lang.PushLit(1), "x")),
+}
+
+
+@pytest.mark.parametrize("back_end", RAISING)
+def test_a_run_whose_loop_raised_is_broken_for_good(back_end):
+    d = RAISING[back_end]()
+    with pytest.raises(TypeError, match="^not an? "):
+        D.run_fuel(d, 5)
+    for ask in (lambda: D.run_fuel(d, 0), lambda: D.run_fuel(d, 10**6), d.observe,
+                lambda: seq.converges_within(seq.of_delay(d), 5)):
+        with pytest.raises(D.BrokenRunError) as broken:
+            ask()
+        assert type(broken.value.__cause__) is TypeError
+
+
+def test_an_interrupted_scan_of_a_run_names_its_failure_when_pulled_again():
+    s = seq.of_delay(evaluate(OMEGA))
+    with interrupt_at(50, lang._eval):
+        with pytest.raises(KeyboardInterrupt):
+            seq.converges_within(s, 100)
+    for _ in range(2):  # the failure is kept
+        with pytest.raises(D.BrokenRunError):
+            s.at(100)
 
 
 @pytest.fixture

@@ -53,17 +53,13 @@ def vm():
 FLAT = {
     "run_fuel-never": fresh(D.never),
     "fresh-evaluate-omega": fresh(interpreter),
+    "held-evaluate-omega-asked-again": asked_again(interpreter),
+    "held-execute-omega-asked-again": asked_again(vm),
     "scan-of_delay-never": scanned(D.never),
     "scan-of_delay-evaluate-omega": scanned(interpreter),
 }
 
 DEFECTS = {
-    "held-evaluate-omega-asked-again": (
-        16, "a held head asked again steps the machine one kept node at a time", asked_again(interpreter),
-    ),
-    "held-execute-omega-asked-again": (
-        16, "a held head asked again steps the machine one kept node at a time", asked_again(vm),
-    ),
     "held-later-evaluate-omega": (
         16, "a step node met partway through a walk is stepped one kept node at a time",
         held_later,

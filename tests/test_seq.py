@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import traceback
 import tracemalloc
 
@@ -435,6 +436,15 @@ def test_bottom_pulls_nothing():
     b = seq.bottom()
     assert seq.converges_within(b, 10**9) is None and b.at(10**9 + 1) is PENDING
     assert seq.to_delay(b) is D.never()
+
+
+def test_a_scan_of_never_answers_at_once_at_any_fuel():
+    s = seq.of_delay(D.never())
+    start = time.perf_counter()
+    assert seq.converges_within(s, 10**12) is None
+    assert s.at(10**12) is PENDING and s.at(10**30) is PENDING
+    assert time.perf_counter() - start < 1
+    assert seq.to_delay(s) is D.never()
 
 
 def test_fuel_and_indices_are_integers():
