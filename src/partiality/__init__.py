@@ -10,7 +10,7 @@ a small lambda calculus (``lang``).
 """
 
 from . import cpo, delay, lang, reals, seq
-from .delay import Delay, Converged, TIMEOUT, bind as delay_bind, defer, later, never, now, run_fuel
+from .delay import BrokenRunError, Delay, Converged, TIMEOUT, bind as delay_bind, defer, later, never, now, run_fuel
 from .seq import (
     ChainViolationError,
     Done,
@@ -38,7 +38,7 @@ from .seq import (
 )
 
 __all__ = [
-    "Delay", "Converged", "TIMEOUT", "delay_bind", "defer", "later", "never", "now", "run_fuel",
+    "BrokenRunError", "Delay", "Converged", "TIMEOUT", "delay_bind", "defer", "later", "never", "now", "run_fuel",
     "ChainViolationError", "Done", "MonotonicityError", "PENDING", "Seq", "Verdict", "Witness",
     "bind", "bisim_within", "bottom", "cantor_pair", "cantor_unpair", "converges_within",
     "from_fn", "join", "leq_within", "lub", "of_delay", "shift", "terminates_with_within",

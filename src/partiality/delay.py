@@ -165,11 +165,13 @@ def _leap(d: Delay, steps: int, fuel: int) -> "tuple[Now | Delay, int]":
     while True:
         ty = type(d)
         if ty is _Call and d._machine is not None:  # a run nobody has stepped: its loop, once
-            d, k = d._enter(fuel - steps)
-            return d, steps + k
+            r = d._loop(fuel - steps)  # the node it stopped at, a step past the fuel, or the value
+            to, k = (r, fuel - steps) if type(r) is _Call else (Now(r.value), r.steps)
+            d._step = _behind(k, to)
+            return to, steps + k
         if ty is _Behind and d._step is None:  # k steps to `to`, none of them built
             k, to = d._k, d._d
-            if type(to) is Now or steps + k > fuel:
+            if type(to) is Now or steps + k > fuel:  # it ends inside the chain
                 j = min(k - 1, fuel - steps)
                 return _behind(k - 1 - j, to), steps + j
             d, steps = to, steps + k
@@ -239,19 +241,11 @@ class _Call(Delay):
         self._step, self._layer = loop, None
 
     def _next(self) -> "Now | Delay":
-        # the step ``_enter(0)`` leaves, without its chain: a walk pays this per step
+        # the step a leap with no fuel leaves, without its chain: a walk pays this per step
         if self._machine is not None:
             r = self._loop(0)
             self._step = r if type(r) is _Call else Now(r.value)
         return self._step
-
-    def _enter(self, budget: int) -> "tuple[Now | _Call, int]":
-        # the loop with ``budget``; as ``_leap`` answers, the node it stopped
-        # at or the value, and the steps to the node whose step that is
-        r = self._loop(budget)
-        to, k = (r, budget) if type(r) is _Call else (Now(r.value), r.steps)
-        self._step = _behind(k, to)
-        return to, k
 
     def _loop(self, budget: int) -> "Converged | _Call":
         # the loop, run once; one that raises leaves the node broken for good

@@ -18,6 +18,17 @@ SMALL, LARGE = 10**3, 10**4
 SLACK = 4096
 
 
+def interpreter():
+    return lang.evaluate(OMEGA)
+
+
+def vm():
+    return lang.execute(lang.compile_term(OMEGA))
+
+
+# A row takes n and returns the call to measure at n.
+
+
 def fresh(start):
     return lambda n: lambda: D.run_fuel(start(), n)
 
@@ -42,14 +53,6 @@ def held_later(n):
     return lambda: D.run_fuel(d, n)
 
 
-def interpreter():
-    return lang.evaluate(OMEGA)
-
-
-def vm():
-    return lang.execute(lang.compile_term(OMEGA))
-
-
 FLAT = {
     "run_fuel-never": fresh(D.never),
     "fresh-evaluate-omega": fresh(interpreter),
@@ -67,11 +70,6 @@ DEFECTS = {
 }
 
 
-def peaks(row):
-    peak(row(10))  # warm the caches and free lists the first call fills
-    return peak(row(SMALL)), peak(row(LARGE))
-
-
 ROWS = [pytest.param(row, id=name) for name, row in FLAT.items()] + [
     pytest.param(row, id=name, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=f"ROADMAP item {item}: {why}"))
@@ -81,5 +79,6 @@ ROWS = [pytest.param(row, id=name) for name, row in FLAT.items()] + [
 
 @pytest.mark.parametrize("row", ROWS)
 def test_memory_is_flat(row):
-    small, large = peaks(row)
+    peak(row(10))  # warms the caches and free lists that a first call fills
+    small, large = peak(row(SMALL)), peak(row(LARGE))
     assert large <= small + SLACK, (small, large)
