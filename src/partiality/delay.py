@@ -148,6 +148,9 @@ def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
     ``TypeError``.
     """
     fuel = _check_fuel(fuel)
+    if type(d) is _Call and d._machine is not None:  # the loop's own answer: no second Converged
+        r = d._enter(fuel)
+        return TIMEOUT if type(r) is _Call else r
     d, steps = _leap(d, 0, fuel)
     while type(d) is not Now:
         if steps == fuel:
@@ -165,11 +168,8 @@ def _leap(d: Delay, steps: int, fuel: int) -> "tuple[Now | Delay, int]":
     while True:
         ty = type(d)
         if ty is _Call and d._machine is not None:  # a run nobody has stepped: its loop, once
-            r = d._loop(fuel - steps)  # the node it stopped at, a step past the fuel, or the value
-            to, k = (r, fuel - steps) if type(r) is _Call else (Now(r.value), r.steps)
-            d._step = _behind(k, to)
-            return to, steps + k
-        if ty is _Behind and d._step is None:  # k steps to `to`, none of them built
+            d._enter(fuel - steps)  # its step is the chain that the next turns pass
+        elif ty is _Behind and d._step is None:  # k steps to `to`, none of them built
             k, to = d._k, d._d
             if type(to) is Now or steps + k > fuel:  # it ends inside the chain
                 j = min(k - 1, fuel - steps)
@@ -226,9 +226,10 @@ class _Call(Delay):
     loop there until its step runs.  ``loop(code, env, machine, budget)``
     runs through up to ``budget`` steps in place and returns the node of the
     step after them, or ``Converged(value, steps taken)``.  A node's step is
-    its loop with budget 0; ``_leap`` runs the loop once, with the fuel left
+    its loop with budget 0; ``_enter`` runs the loop once, with the fuel left
     as the budget, and the node's step becomes the steps the loop took, a
     ``_Behind`` chain ending at the node it stopped at or at the value.
+    ``run_fuel`` returns that ``Converged`` as it is.
     Either way only the node the loop stopped at can reach the machine, and
     a held head keeps no node that ``run_fuel`` passed.  A loop that raises
     leaves the machine half updated, so the node keeps the exception as its
@@ -246,6 +247,12 @@ class _Call(Delay):
             r = self._loop(0)
             self._step = r if type(r) is _Call else Now(r.value)
         return self._step
+
+    def _enter(self, budget: int) -> "Converged | _Call":
+        # the loop, run once with `budget`; the node's step becomes the steps it took
+        r = self._loop(budget)
+        self._step = _behind(budget, r) if type(r) is _Call else _behind(r.steps, Now(r.value))
+        return r
 
     def _loop(self, budget: int) -> "Converged | _Call":
         # the loop, run once; one that raises leaves the node broken for good

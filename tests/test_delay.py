@@ -285,6 +285,7 @@ def test_a_thunk_that_raised_runs_again_when_asked_again():
     assert D.run_fuel(d, 3) == D.Converged("x", 1)
     assert calls == [0, 1]
 
+
 def test_observation_after_an_exception_resumes():
     calls = []
 
