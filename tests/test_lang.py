@@ -676,7 +676,6 @@ def test_a_timed_out_run_asked_for_more_answers_as_run_does(back_end, rng):
             assert D.run_fuel(d, 10 * fuel) == answer(t, 10 * fuel), (show(t), fuel)
 
 
-
 @pytest.mark.parametrize("back_end", BACK_ENDS)
 def test_run_fuel_keeps_no_node_of_a_held_run_asked_again(back_end):
     start = BACK_ENDS[back_end][0]
