@@ -7,10 +7,12 @@ is read.  A flat row's peak at 10**4 is at most its peak at 10**3 plus
 row is a strict xfail that names its ROADMAP item.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from partiality import delay as D
-from partiality import lang, seq
+from partiality import lang, reals, seq
 from partiality.lang import OMEGA
 from helpers import peak
 
@@ -47,6 +49,10 @@ def scanned(start):
     return lambda n: lambda: seq.converges_within(seq.of_delay(start()), n)
 
 
+def sign_scanned(f):
+    return lambda n: lambda: seq.converges_within(reals.is_positive(f), n)
+
+
 def held_later(n):
     # the caller holds a plain node whose step is a run's head
     d = D.later(interpreter())
@@ -60,6 +66,8 @@ FLAT = {
     "held-execute-omega-asked-again": asked_again(vm),
     "scan-of_delay-never": scanned(D.never),
     "scan-of_delay-evaluate-omega": scanned(interpreter),
+    "scan-sign-of-a-tiny-constant": sign_scanned(reals.const_real(Fraction(1, 10**30))),
+    "scan-sign-of-a-zero-function": sign_scanned(lambda m: 0),
 }
 
 DEFECTS = {

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from partiality import cpo
+from partiality import cpo, reals
 from partiality import delay as D
 from partiality import seq
 from partiality.seq import PENDING, ChainViolationError, Done, Verdict, Witness
@@ -285,6 +285,46 @@ def test_a_step_that_raises_stop_iteration_is_a_cached_runtime_error(make):
     with pytest.raises(RuntimeError) as again:
         seq.converges_within(s, 6)
     assert again.value is raised.value
+
+
+def _interrupted_once(at, value):
+    # `value`, but its call at `at` raises KeyboardInterrupt, once
+    fired = []
+
+    def fn(n):
+        if n == at and not fired:
+            fired.append(n)
+            raise KeyboardInterrupt
+        return value(n)
+
+    return fn
+
+
+@pytest.mark.xfail(
+    strict=True, raises=(TypeError, RuntimeError),
+    reason="ROADMAP item 17: a producer that an interrupt escaped is called as a factory or read as not total",
+)
+@pytest.mark.parametrize(
+    "make, good",
+    [
+        (lambda: reals.is_positive(_interrupted_once(50, lambda n: 0)), None),
+        (lambda: reals.is_positive(_interrupted_once(50, lambda n: 0)), 10),
+        (lambda: seq.lub(_interrupted_once(30, lambda i: seq.of_delay(D.never()))), 10),
+    ],
+    ids=["is_positive", "is_positive-after-a-pull", "lub"],
+)
+def test_an_interrupted_producer_names_its_failure_when_pulled_again(make, good):
+    s = make()
+    if good is not None:
+        assert s.at(good) is PENDING
+    with pytest.raises(KeyboardInterrupt):
+        s.at(1000)
+    for _ in range(2):  # the failure is kept
+        with pytest.raises(D.BrokenRunError) as broken:
+            s.at(1000)
+        assert type(broken.value.__cause__) is KeyboardInterrupt
+    if good is not None:
+        assert s.at(good) is PENDING  # the cells scanned before stay readable
 
 
 def test_a_producer_may_yield_a_run_of_pending_cells():
