@@ -19,12 +19,12 @@ steps in place.  ``run_fuel``, and a ``seq`` scan through the same helper,
 leaps before it walks: a step node that nobody has stepped runs its loop
 once with the fuel left, and its step becomes the chain of the steps taken
 (``_Behind``), each built only when the one before is stepped; a stepped
-node is followed to its step; such a chain is passed at once, its length
-counted; and ``never()`` is ``TIMEOUT`` at any fuel.  So a run builds no
-node per step, and a caller that holds its head, and asks again, keeps O(1)
-of them.  The first node that is none of these is walked one step at a
-time, and so is all after it, a step node too: the walk pays nothing for
-the leap.  A step node whose loop raised raises ``BrokenRunError`` when
+step node is followed to its step; a chain, stepped or not, is passed at
+once by its count; and ``never()`` is ``TIMEOUT`` at any fuel.  So a run
+builds no node per step, and a caller that holds its head, and asks again,
+keeps O(1) of them.  The first node that is none of these is walked one
+step at a time, as is all after it, a step node too: the walk pays nothing
+for the leap.  A step node whose loop raised raises ``BrokenRunError`` when
 asked again, and a thunk that needs its own node's step a ``ValueError``.
 
 ``bind`` builds a node that one loop observes: binds waiting on their source
@@ -162,20 +162,20 @@ def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
 
 def _leap(d: Delay, steps: int, fuel: int) -> "tuple[Now | Delay, int]":
     # The step of a node at most `fuel` in, and how far in that node is, from
-    # `d`, the node `steps` in (`steps <= fuel`).  It passes at once every chain
-    # whose length is known, a run's loop and never(), and stops at the first
-    # node that is none of those, with its step; a walk a step at a time goes on.
+    # `d`, the node `steps` in (`steps <= fuel`).  It passes at once a `_Behind`
+    # by its count, stepped or not, a run's loop and never(), and stops at the
+    # first node that is none of those, with its step; a walk goes on from there.
     while True:
         ty = type(d)
         if ty is _Call and d._machine is not None:  # a run nobody has stepped: its loop, once
             d._enter(fuel - steps)  # its step is the chain that the next turns pass
-        elif ty is _Behind and d._step is None:  # k steps to `to`, none of them built
+        elif ty is _Behind:  # k steps to `to`, stepped or not: its count never changes
             k, to = d._k, d._d
             if type(to) is Now or steps + k > fuel:  # it ends inside the chain
                 j = min(k - 1, fuel - steps)
                 return _behind(k - 1 - j, to), steps + j
             d, steps = to, steps + k
-        elif ty is _Call or ty is _Behind:  # stepped: its step is kept
+        elif ty is _Call:  # stepped: its step is kept
             step = d._step
             if type(step) is Now or steps == fuel:
                 return step, steps
@@ -192,9 +192,9 @@ def _behind(k: int, d: "Now | Delay") -> "Now | Delay":
 
 
 class _Behind(Delay):
-    """``k`` steps, then ``d``, a ``Now`` or a node: the chain of steps a loop
-    took, or a scan passed.  Stepped, it builds the same chain one step
-    shorter; ``_leap`` passes the chain without building it."""
+    """``k`` steps, then ``d``, a ``Now`` or a node: a loop's steps, a scan's,
+    or a constant real's sign.  Stepped, it builds the same chain one step
+    shorter; ``_leap`` passes it by its count, stepped or not, building none."""
 
     __slots__ = ("_k", "_d")
 

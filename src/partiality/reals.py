@@ -9,13 +9,14 @@ never be told apart from a small-enough nonzero by finitely many queries.
 ``is_positive`` returns the verdict as a monotone sequence of bits — done
 with 1 from the first index that certifies positivity, done with 0 from the
 first that certifies non-positivity, pending forever on zero — so all the
-fuel-bounded machinery applies unchanged.  A ``const_real`` is read once
-and answered in closed form.  Any other ``f``, a wrapper of a ``const_real``
-included, is queried once per index: the producer asks each pull how far it
-goes and answers it in one loop, reported as one run of pending cells.  It
-reads a value's ratio only when ``f`` returns another object than at the
-last query, so a repeated value is read once and every later query is one
-integer comparison.
+fuel-bounded machinery applies unchanged.  A ``const_real``'s ratio is read
+when ``is_positive`` is called, and its answer is one chain of known length,
+which a scan passes by its count, or ``never()`` for zero.  Any other ``f``,
+a wrapper of a ``const_real`` included, is queried once per index: the
+producer asks each pull how far it goes and answers it in one loop, reported
+as one run of pending cells.  It reads a value's ratio only when ``f``
+returns another object than at the last query, so a repeated value is read
+once and every later query is one integer comparison.
 
 Bounds are decided on integers, from each value's ``as_integer_ratio()``, so a
 real may return any exact-ratio number: ``int``, ``Fraction`` or ``float``.
@@ -33,7 +34,7 @@ from functools import partial
 from typing import Callable
 
 from ._record import _read_int
-from .delay import _check_fuel
+from .delay import Now, _behind, _check_fuel, never
 from .seq import Done, Seq, _WANT
 
 Rational = Fraction
@@ -49,21 +50,24 @@ def is_positive(f: Real) -> Seq:
     Cells stay pending until the first ``n >= 1`` with ``|n * p| > 2 * q``
     for ``f(n) = p / q``, where the settling rate pins the sign of the limit;
     from there every cell is ``Done(1)`` (positive) or ``Done(0)`` (negative),
-    and for the zero real none is.  A ``const_real`` is read once, at the
-    first pull, and never queried.  Any other ``f``, a wrapper of a
+    and for the zero real none is.  A ``const_real`` is never queried: its
+    ratio is read at this call, and the answer is ``of_delay`` of one chain,
+    ``2*q // |p| + 1`` steps to ``Now`` of its bit, which a scan passes by
+    its count, or of ``never()`` for zero.  Any other ``f``, a wrapper of a
     ``const_real`` included, is queried once per index ``n >= 1`` up to the
-    first done one.  One loop answers a whole
-    pull: it queries each index the pull needs, in order, and reports the
-    pending ones as one run.  A value that is the same object as the last
-    one is not read again: its ratio gave ``lim = 2*q // |p|``, the last
-    index it leaves pending (``|m*p| > 2*q`` iff ``m > lim``), so the query
-    is one integer comparison; a zero leaves the whole pull pending.  A
-    value changed in place between queries is read as it first was.  A
-    query that raises leaves the cells before it scanned, and the error is
-    raised on the next resume.
+    first done one.  One loop answers a whole pull: it queries each index
+    the pull needs, in order, and reports the pending ones as one run.  A
+    value that is the same object as the last one is not read again: its
+    ratio gave ``lim = 2*q // |p|``, the last index it leaves pending
+    (``|m*p| > 2*q`` iff ``m > lim``), so the query is one integer
+    comparison; a zero leaves the whole pull pending.  A value changed in
+    place between queries is read as it first was.  A query that raises
+    leaves the cells before it scanned, and the error is raised on the next
+    resume.
     """
-    if type(f) is partial and f.func is _const:  # const_real's: its cells in closed form
-        return Seq(partial(_const_sign, *f.args))
+    if type(f) is partial and f.func is _const:  # const_real's: a chain of known length, or never()
+        p, q = f.args[0].as_integer_ratio()
+        return Seq(_behind(2 * q // abs(p) + 2, Now(int(p > 0))) if p else never())
 
     def produce():
         k = 0  # the next cell to report; cell 0 needs no query
@@ -92,20 +96,6 @@ def is_positive(f: Real) -> Seq:
             k = n + 1
 
     return Seq(produce)
-
-
-def _const_sign(x: Rational):
-    # the cells of is_positive(const_real(x)) from one read of x = p/q: pending through 2*q // |p|
-    p, q = x.as_integer_ratio()
-    if p:
-        yield 2 * q // abs(p) + 1
-        yield Done(int(p > 0))
-        return
-    k = 0  # the next cell to report; a zero leaves every pull pending
-    while True:
-        n = yield _WANT
-        yield n + 1 - k
-        k = n + 1
 
 
 # ---------------------------------------------------------------------------
