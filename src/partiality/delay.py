@@ -209,9 +209,9 @@ class _Behind(Delay):
 
 
 class BrokenRunError(RuntimeError):
-    """A step of a ``lang`` run whose loop raised, asked again.  The loop
-    left the run's machine half updated, so the step cannot be taken; the
-    exception that the loop raised is the cause."""
+    """A step of a ``lang`` run whose loop raised, or a ``seq`` producer that
+    a ``BaseException`` such as an interrupt escaped, asked again: the run's
+    machine is half updated and the producer dead.  The exception is the cause."""
 
 
 def _broken(err: BaseException, env, machine, budget: int):

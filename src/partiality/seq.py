@@ -129,11 +129,14 @@ class Seq:
     sequence and drops the producer; stopping before one is an error.  Only
     the count of cells pulled and the first done cell with its index are
     kept; failures, ``MonotonicityError`` and a failing factory included, are
-    cached and re-raised with the traceback they first had.  ``_src`` is the
-    node a ``Delay`` scan has reached, or a factory, then its producer; it is
-    ``None`` once the sequence is complete and the failure once a pull fails.
-    While a pull runs it is a private marker, so a source or producer that
-    reads the sequence it is pulled for fails that pull with a ``ValueError``.
+    cached and re-raised with the traceback they first had.  A producer that
+    an interrupt or other ``BaseException`` escapes is dead, so later pulls
+    raise ``BrokenRunError`` chained from it; the cells it gave stay readable.
+    ``_src`` is the node a ``Delay`` scan has reached, or a factory, then its
+    producer; it is ``None`` once the sequence is complete and the failure
+    once a pull fails.  While a pull runs it is a private marker, so a source
+    or producer that reads the sequence it is pulled for fails that pull with
+    a ``ValueError``.
     """
 
     __slots__ = ("_src", "_scanned", "_done", "_done_at")
@@ -205,6 +208,12 @@ class Seq:
             self._src = None
         except Exception as err:
             self._src = _Failure(err, err.__traceback__)
+            raise
+        except BaseException as err:  # an interrupt: a Delay keeps its rule, a factory is put back
+            if not (isinstance(it, Delay) or callable(it)):  # a producer it escaped is dead
+                broken = D.BrokenRunError("a sequence producer raised, and cannot be resumed")
+                broken.__cause__ = err
+                self._src = _Failure(broken, None)
             raise
         finally:
             self._scanned = k

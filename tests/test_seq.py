@@ -300,10 +300,6 @@ def _interrupted_once(at, value):
     return fn
 
 
-@pytest.mark.xfail(
-    strict=True, raises=(TypeError, RuntimeError),
-    reason="ROADMAP item 17: a producer that an interrupt escaped is called as a factory or read as not total",
-)
 @pytest.mark.parametrize(
     "make, good",
     [
@@ -325,6 +321,15 @@ def test_an_interrupted_producer_names_its_failure_when_pulled_again(make, good)
         assert type(broken.value.__cause__) is KeyboardInterrupt
     if good is not None:
         assert s.at(good) is PENDING  # the cells scanned before stay readable
+
+
+def test_an_interrupted_factory_is_called_again():
+    # no producer was made, so there is none to break
+    factory = _interrupted_once(0, lambda _: iter([PENDING, Done(1)]))
+    s = seq.Seq(lambda: factory(0))
+    with pytest.raises(KeyboardInterrupt):
+        s.at(5)
+    assert seq.converges_within(s, 5) == Witness(1, 1)
 
 
 def test_a_producer_may_yield_a_run_of_pending_cells():
