@@ -73,3 +73,32 @@ def test_summarise_keeps_only_complete_pairs_and_present_metrics():
     assert list(out["w"]) == ["ops_per_s"]
     assert out["w"]["ops_per_s"]["pairs"] == 1
     assert out["w"]["ops_per_s"]["change_quartiles"] == [200, 200, 200]
+
+
+def pairs(parent, change):
+    # one pair per seed: the parent's and the change's ops_per_s and op_p50_ms
+    return runs("w", [(seed, side, {"ops_per_s": v, "op_p50_ms": v})
+                      for seed, (p, c) in enumerate(zip(parent, change))
+                      for side, v in (("parent", p), ("change", c))])
+
+
+@pytest.mark.parametrize("gain, met", [
+    ([10] * 10, True),  # won 10 of 10, the gap past the parent's IQR
+    ([10] * 9 + [-1], True),  # won 9 of 10
+    ([10] * 8 + [-1] * 2, False),  # won 8 of 10
+    ([10] * 9 + [0], True),  # a tie counts for neither side: 9 of 10
+    ([10] * 8 + [0] * 2, False),  # 8 won and 2 ties
+    ([1] * 10, False),  # won 10 of 10, but the gap is inside the parent's IQR
+], ids=["met", "nine", "eight", "nine-and-a-tie", "eight-and-two-ties", "inside-the-iqr"])
+def test_claim_met_needs_nine_of_ten_pairs_and_a_gap_past_the_parents_iqr(gain, met):
+    parent = [100, 98, 102, 100, 97, 103, 100, 100, 99, 101]  # median 100, IQR 1.5
+    change = [p + g for p, g in zip(parent, gain)]
+    medians = bench_pairs.summarise(pairs(parent, change), SPEC)
+    assert medians["w"]["ops_per_s"]["parent_iqr"] == 1.5
+    higher = bench_pairs.claimed("w:ops_per_s", medians, SPEC)
+    assert (higher["workload"], higher["metric"], higher["claim_met"]) == ("w", "ops_per_s", met)
+    # a lower-is-better metric is met by the mirror image of the same runs
+    mirror = bench_pairs.summarise(pairs([200 - p for p in parent], [200 - c for c in change]), SPEC)
+    assert bench_pairs.claimed("w:op_p50_ms", mirror, SPEC)["claim_met"] is met
+    assert bench_pairs.claimed("w:op_p50_ms", medians, SPEC)["claim_met"] is False  # the wrong way
+    assert bench_pairs.claimed("x:ops_per_s", medians, SPEC) is None

@@ -10,8 +10,10 @@ which side runs first, starting with the parent.  It prints, for every
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
 how many pairs the change won, and whether the change's median is within
 the metric's bound.  With ``--out`` it writes every run's final JSON line
-and the summary; with ``--claim W:M`` the summary names that metric as the
-claim.  Standard library only.
+and the summary.  With ``--claim W:M`` the summary names that metric as the
+claim, with ``claim_met``: the change won at least 9 of every 10 pairs, ties
+counting for neither side, and its median is better than the parent's by
+more than the parent's IQR.  Standard library only.
 """
 
 from __future__ import annotations
@@ -78,7 +80,20 @@ def summarise(runs: list[dict], spec: dict) -> dict:
     return out
 
 
-def write(args, medians: dict, runs: list[dict]) -> None:
+def claimed(text: str, medians: dict, spec: dict) -> dict | None:
+    """The summary of the metric that ``W:M`` names, with ``claim_met``, or
+    ``None`` if no pair measured it."""
+    w, _, m = text.partition(":")
+    s = medians.get(w, {}).get(m)
+    if s is None:
+        return None
+    higher = any(x["name"] == m and x["better"] == "higher" for x in spec["end_to_end"])
+    gap = s["change_median"] - s["parent_median"]
+    met = 10 * s["change_wins"] >= 9 * s["pairs"] and (gap if higher else -gap) > s["parent_iqr"]
+    return dict(workload=w, metric=m, **s, claim_met=met)
+
+
+def write(args, spec: dict, medians: dict, runs: list[dict]) -> None:
     """The ``BENCH_<pr>.json`` document: how the runs were made, the summary
     and every run's final JSON line."""
     doc = {
@@ -96,9 +111,8 @@ def write(args, medians: dict, runs: list[dict]) -> None:
         "quartiles": "parent_iqr is the distance between the parent's first and third quartiles "
                      "(statistics.quantiles, method inclusive)",
     }
-    w, _, m = (args.claim or "").partition(":")
-    if m in medians.get(w, {}):
-        doc["claimed"] = dict(workload=w, metric=m, **medians[w][m])
+    if args.claim and (claim := claimed(args.claim, medians, spec)):
+        doc["claimed"] = claim
     doc["medians"] = medians
     doc["runs"] = runs
     with open(args.out, "w") as f:
@@ -132,7 +146,7 @@ def main(argv=None) -> int:
                 print(f"{w} seed {seed} {side}: failed {result['failed']} of {result['attempted']}",
                       file=sys.stderr, flush=True)
                 if args.out:
-                    write(args, summarise(runs, spec), runs)
+                    write(args, spec, summarise(runs, spec), runs)
     medians = summarise(runs, spec)
     for w, metrics in medians.items():
         print(f"== {w}")
@@ -141,6 +155,8 @@ def main(argv=None) -> int:
             print(f"{name:18s} parent {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}]  "
                   f"change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]  {s['delta']:+.2%}  "
                   f"won {s['change_wins']}/{s['pairs']}  {'within' if s['within_bound'] else 'PAST'} bound")
+    if args.claim and (claim := claimed(args.claim, medians, spec)):
+        print(f"claim {args.claim}: claim_met {str(claim['claim_met']).lower()}")
     return 0
 
 
