@@ -108,6 +108,14 @@ def test_zero_never_decides():
     assert seq.converges_within(s, 3000) is None
 
 
+def test_the_zero_constant_gives_the_verdicts_of_the_query_loop():
+    # not bottom(), whose identity would make the first verdict a structural TRUE
+    for zero in (reals.is_positive(reals.const_real(0)), reals.is_positive(lambda n: 0)):
+        assert zero is not seq.bottom()
+        assert seq.leq_within(zero, seq.unit(1), 10**4) is Verdict.UNKNOWN
+        assert seq.bisim_within(zero, seq.bottom(), 10**4) is Verdict.UNKNOWN
+
+
 def test_is_positive_cells_are_monotone_bits():
     s = reals.is_positive(reals.const_real(Fraction(-2, 7)))
     assert seq.ismon_prefix(s, 30)
