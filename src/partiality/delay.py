@@ -15,17 +15,19 @@ scans and ``lang``'s step nodes) take steps through ``_next`` and build no
 and keeps that one, so a walk costs one object per step.
 
 A ``lang`` back end's step node (``_Call``) keeps a loop that runs many
-steps in place.  ``run_fuel``, and a ``seq`` scan through the same helper,
-leaps before it walks: a step node that nobody has stepped runs its loop
-once with the fuel left, and its step becomes the chain of the steps taken
-(``_Behind``), each built only when the one before is stepped; a stepped
-step node is followed to its step; a chain, stepped or not, is passed at
-once by its count; and ``never()`` is ``TIMEOUT`` at any fuel.  So a run
-builds no node per step, and a caller that holds its head, and asks again,
-keeps O(1) of them.  The first node that is none of these is walked one
-step at a time, as is all after it, a step node too: the walk pays nothing
-for the leap.  A step node whose loop raised raises ``BrokenRunError`` when
-asked again, and a thunk that needs its own node's step a ``ValueError``.
+steps in place, and ``_enter`` is its one entry: it runs the loop once with
+a budget, and the node's step becomes the chain of the steps taken
+(``_Behind``), each built only when the one before is stepped; stepping the
+node enters it with budget 0.  ``run_fuel``, and a ``seq`` scan through the
+same helper, leaps before it walks: it enters a step node that nobody has
+stepped with the fuel left and follows a step node to its step, passes a
+chain, stepped or not, at once by its count, and answers ``never()`` with
+``TIMEOUT`` at any fuel.  So a run builds no node per step, and a caller
+that holds its head, and asks again, keeps O(1) of them.  The first node
+that is none of these is walked one step at a time, as is all after it, a
+step node too: the walk pays nothing for the leap.  A step node whose loop
+raised raises ``BrokenRunError`` when asked again, and a thunk or a bind
+that needs its own node's step a ``ValueError``.
 
 ``bind`` builds a node that one loop observes: binds waiting on their source
 sit on an explicit list, so nesting binds costs no Python frames, and each
@@ -134,8 +136,8 @@ def _check_fuel(fuel: int, name: str = "fuel") -> int:
 
 
 def _running():
-    # a node's step while its thunk runs, so a thunk that needs that step calls this
-    raise ValueError("a thunk needs its own step before it takes it")
+    # a node's step while its thunk or the bind loop runs: a thunk or a bind that needs it calls this
+    raise ValueError("a thunk or a bind needs its own step before it takes it")
 
 
 def run_fuel(d: Delay, fuel: int) -> Converged | Marker:
@@ -167,19 +169,19 @@ def _leap(d: Delay, steps: int, fuel: int) -> "tuple[Now | Delay, int]":
     # first node that is none of those, with its step; a walk goes on from there.
     while True:
         ty = type(d)
-        if ty is _Call and d._machine is not None:  # a run nobody has stepped: its loop, once
-            d._enter(fuel - steps)  # its step is the chain that the next turns pass
+        if ty is _Call:  # a run: its loop, once, if nobody has stepped it; then its kept step
+            if d._machine is not None:
+                d._enter(fuel - steps)  # its step is the chain that the next turns pass
+            step = d._step
+            if type(step) is Now or steps == fuel:
+                return step, steps
+            d, steps = step, steps + 1
         elif ty is _Behind:  # k steps to `to`, stepped or not: its count never changes
             k, to = d._k, d._d
             if type(to) is Now or steps + k > fuel:  # it ends inside the chain
                 j = min(k - 1, fuel - steps)
                 return _behind(k - 1 - j, to), steps + j
             d, steps = to, steps + k
-        elif ty is _Call:  # stepped: its step is kept
-            step = d._step
-            if type(step) is Now or steps == fuel:
-                return step, steps
-            d, steps = step, steps + 1
         elif d is _NEVER:
             return d, fuel
         else:
@@ -225,11 +227,12 @@ class _Call(Delay):
     ``Delay`` keeps its thunk in ``_step`` until it runs, the node keeps its
     loop there until its step runs.  ``loop(code, env, machine, budget)``
     runs through up to ``budget`` steps in place and returns the node of the
-    step after them, or ``Converged(value, steps taken)``.  A node's step is
-    its loop with budget 0; ``_enter`` runs the loop once, with the fuel left
-    as the budget, and the node's step becomes the steps the loop took, a
-    ``_Behind`` chain ending at the node it stopped at or at the value.
-    ``run_fuel`` returns that ``Converged`` as it is.
+    step after them, or ``Converged(value, steps taken)``.  ``_enter`` is
+    the one way in: it runs the loop once, with the fuel left as the budget,
+    and the node's step becomes the steps the loop took, a ``_Behind`` chain
+    ending at the node it stopped at or at the value.  A node's step is its
+    loop with budget 0, so ``_next`` enters it with 0.  ``run_fuel`` returns
+    the loop's ``Converged`` as it is.
     Either way only the node the loop stopped at can reach the machine, and
     a held head keeps no node that ``run_fuel`` passed.  A loop that raises
     leaves the machine half updated, so the node keeps the exception as its
@@ -242,20 +245,14 @@ class _Call(Delay):
         self._step, self._layer = loop, None
 
     def _next(self) -> "Now | Delay":
-        # the step a leap with no fuel leaves, without its chain: a walk pays this per step
+        # the step: the loop with budget 0, if nobody has stepped the node
         if self._machine is not None:
-            r = self._loop(0)
-            self._step = r if type(r) is _Call else Now(r.value)
+            self._enter(0)
         return self._step
 
     def _enter(self, budget: int) -> "Converged | _Call":
-        # the loop, run once with `budget`; the node's step becomes the steps it took
-        r = self._loop(budget)
-        self._step = _behind(budget, r) if type(r) is _Call else _behind(r.steps, Now(r.value))
-        return r
-
-    def _loop(self, budget: int) -> "Converged | _Call":
-        # the loop, run once; one that raises leaves the node broken for good
+        # the loop, run once with `budget`; the node's step becomes the steps
+        # it took, and one that raises leaves the node broken for good
         try:
             r = self._step(self._code, self._env, self._machine, budget)
         except BaseException as err:
@@ -263,6 +260,7 @@ class _Call(Delay):
                 self._step, self._code = _broken, err
             raise
         self._code = self._env = self._machine = None
+        self._step = _behind(budget, r) if type(r) is _Call else _behind(r.steps, Now(r.value))
         return r
 
 
@@ -273,9 +271,6 @@ def bind(d: Delay, f: Callable[[Any], Delay]) -> Delay:
     the result is the step count of ``d`` plus that of ``f``'s output.
     """
     return _Bind(d, f)
-
-
-_BUSY = object()  # the step of a bind while the loop works it out
 
 
 class _Bind(Delay):
@@ -295,7 +290,7 @@ class _Bind(Delay):
             try:
                 while True:
                     while isinstance(d, _Bind) and d._step is None:
-                        d._step = _BUSY
+                        d._step = _running
                         waiting.append(d)
                         d = d._src
                     step = d._next()
@@ -317,8 +312,8 @@ class _Bind(Delay):
                 for b in waiting:
                     b._step = None
                 raise
-        elif self._step is _BUSY:
-            raise ValueError("a bind needs its own value before it takes a step")
+        elif self._step is _running:
+            _running()
         return self._step
 
 

@@ -255,7 +255,7 @@ def test_bind_that_needs_its_own_value_is_an_error():
     # no step guards the recursion, so there is no layer to observe
     d = D.bind(D.now(1), lambda a: d)
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="its own step"):
             d.observe()
 
 

@@ -773,6 +773,22 @@ def test_a_run_whose_loop_raised_is_broken_for_good(back_end):
         assert type(broken.value.__cause__) is TypeError
 
 
+@pytest.mark.parametrize("back_end", RAISING)
+@pytest.mark.parametrize("first", ["observe", "scan"])
+def test_a_run_whose_loop_raised_at_its_first_step_is_broken_for_good(back_end, first):
+    # the first ask is not run_fuel: observe takes the node's step alone, and a scan leaps
+    d = RAISING[back_end]()
+    with pytest.raises(TypeError, match="^not an? "):
+        if first == "observe":
+            d.observe()
+        else:
+            seq.converges_within(seq.of_delay(d), 5)
+    for ask in (lambda: D.run_fuel(d, 0), lambda: D.run_fuel(d, 10**6), d.observe):
+        with pytest.raises(D.BrokenRunError) as broken:
+            ask()
+        assert type(broken.value.__cause__) is TypeError
+
+
 def test_an_interrupted_scan_of_a_run_names_its_failure_when_pulled_again():
     s = seq.of_delay(evaluate(OMEGA))
     with interrupt_at(50, lang._eval):

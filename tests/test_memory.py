@@ -3,17 +3,20 @@ cells.
 
 A row builds what it holds, then gives the call whose ``tracemalloc`` peak
 is read.  A flat row's peak at 10**4 is at most its peak at 10**3 plus
-4 KiB: the semantics need no memory that grows with fuel there.  A defect
-row is a strict xfail that names its ROADMAP item.
+4 KiB: the semantics need no memory that grows with fuel there.  A growing
+row holds about sqrt(n) members, so its peak grows at most sqrt(10)-fold,
+plus 4 KiB.  A defect row is a strict xfail that names its ROADMAP item.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from partiality import delay as D
-from partiality import lang, reals, seq
+from partiality import cpo, lang, reals, seq
 from partiality.lang import OMEGA
+from partiality.seq import PENDING
 from helpers import peak
 
 SMALL, LARGE = 10**3, 10**4
@@ -53,6 +56,15 @@ def sign_scanned(f):
     return lambda n: lambda: seq.converges_within(reals.is_positive(f), n)
 
 
+def seq_scanned(make):
+    return lambda n: lambda: seq.converges_within(make(), n)
+
+
+def strings():
+    # a sequence that never finishes: a map over never(), whose value would be a string
+    return seq.of_delay(D.map(D.never(), str))
+
+
 def held_later(n):
     # the caller holds a plain node whose step is a run's head
     d = D.later(interpreter())
@@ -68,6 +80,22 @@ FLAT = {
     "scan-of_delay-evaluate-omega": scanned(interpreter),
     "scan-sign-of-a-tiny-constant": sign_scanned(reals.const_real(Fraction(1, 10**30))),
     "scan-sign-of-a-zero-function": sign_scanned(lambda m: 0),
+    "scan-shift": seq_scanned(lambda: seq.shift(strings())),
+    "scan-unshift": seq_scanned(lambda: seq.unshift(strings())),
+    "scan-bind": seq_scanned(lambda: seq.bind(strings(), seq.unit)),
+    "scan-map": seq_scanned(lambda: seq.map(strings(), str)),
+    "scan-join": seq_scanned(lambda: seq.join(seq.of_delay(D.map(D.never(), seq.unit)))),
+    "scan-from_fn-pending": seq_scanned(lambda: seq.from_fn(lambda i: PENDING)),
+    "run_fuel-to_delay-sign-of-a-zero-function": (
+        lambda n: lambda: D.run_fuel(seq.to_delay(reals.is_positive(lambda m: 0)), n)),
+}
+
+GROWING = {
+    "scan-lub-of-bottoms": seq_scanned(lambda: seq.lub(lambda i: seq.bottom())),
+    "scan-lub-of-shifted-nevers": seq_scanned(
+        lambda: seq.lub(lambda i: seq.shift(seq.of_delay(D.never())))),
+    "scan-search-never-matching": seq_scanned(
+        lambda: cpo.search(lambda x: False, cpo.stream_iterate(0, lambda x: x + 1))),
 }
 
 DEFECTS = {
@@ -90,3 +118,10 @@ def test_memory_is_flat(row):
     peak(row(10))  # warms the caches and free lists that a first call fills
     small, large = peak(row(SMALL)), peak(row(LARGE))
     assert large <= small + SLACK, (small, large)
+
+
+@pytest.mark.parametrize("row", GROWING.values(), ids=GROWING.keys())
+def test_memory_grows_as_the_square_root(row):
+    peak(row(10))
+    small, large = peak(row(SMALL)), peak(row(LARGE))
+    assert large <= math.sqrt(LARGE / SMALL) * small + SLACK, (small, large)
