@@ -5,7 +5,9 @@ A row builds what it holds, then gives the call whose ``tracemalloc`` peak
 is read.  A flat row's peak at 10**4 is at most its peak at 10**3 plus
 4 KiB: the semantics need no memory that grows with fuel there.  A growing
 row holds about sqrt(n) members, so its peak grows at most sqrt(10)-fold,
-plus 4 KiB.  A defect row is a strict xfail that names its ROADMAP item.
+plus 4 KiB.  A linear row keeps a frame per pending call, so its peak grows
+by at most its stated bytes per step, plus 4 KiB.  A defect row is a strict
+xfail that names its ROADMAP item.
 """
 
 import math
@@ -65,6 +67,23 @@ def strings():
     return seq.of_delay(D.map(D.never(), str))
 
 
+def observe_walk(start):
+    # a walk that keeps only the node it has reached, one observed layer at a time
+    def row(n):
+        def walk():
+            d = start()
+            for _ in range(n):
+                d = d.observe().rest
+
+        return walk
+
+    return row
+
+
+# each call pushes a frame for the `suc` that waits on it, so the stack grows a frame a step
+GROWING_STACK = lang.parse(r"(\f. f f) (\f. suc (f f))")
+
+
 def held_later(n):
     # the caller holds a plain node whose step is a run's head
     d = D.later(interpreter())
@@ -73,6 +92,8 @@ def held_later(n):
 
 FLAT = {
     "run_fuel-never": fresh(D.never),
+    "run_fuel-bind-over-never": fresh(lambda: D.bind(D.never(), D.now)),
+    "observe-walk-evaluate-omega": observe_walk(interpreter),
     "fresh-evaluate-omega": fresh(interpreter),
     "held-evaluate-omega-asked-again": asked_again(interpreter),
     "held-execute-omega-asked-again": asked_again(vm),
@@ -96,6 +117,12 @@ GROWING = {
         lambda: seq.lub(lambda i: seq.shift(seq.of_delay(D.never())))),
     "scan-search-never-matching": seq_scanned(
         lambda: cpo.search(lambda x: False, cpo.stream_iterate(0, lambda x: x + 1))),
+}
+
+# bytes per step: about 8.5 for the interpreter's continuations, about 73 for the VM's frames
+LINEAR = {
+    "run-growing-stack": (12, lambda n: lambda: lang.run(GROWING_STACK, n)),
+    "run_code-growing-stack": (96, lambda n: lambda: lang.run_code(lang.compile_term(GROWING_STACK), n)),
 }
 
 DEFECTS = {
@@ -125,3 +152,10 @@ def test_memory_grows_as_the_square_root(row):
     peak(row(10))
     small, large = peak(row(SMALL)), peak(row(LARGE))
     assert large <= math.sqrt(LARGE / SMALL) * small + SLACK, (small, large)
+
+
+@pytest.mark.parametrize("per_step, row", LINEAR.values(), ids=LINEAR.keys())
+def test_memory_grows_by_a_bounded_amount_per_step(per_step, row):
+    peak(row(10))
+    small, large = peak(row(SMALL)), peak(row(LARGE))
+    assert large <= small + per_step * (LARGE - SMALL) + SLACK, (small, large)

@@ -636,6 +636,34 @@ def test_bisim_mixed():
     assert seq.bisim_within(seq.unit(3), seq.bottom(), 10) is Verdict.UNKNOWN
 
 
+_SILENT_FIRST = "a verdict scans the side after a silent one"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_SILENT_FIRST)
+@pytest.mark.parametrize("ask", [
+    lambda t: seq.bisim_within(seq.bottom(), t, 10**3),
+    lambda t: seq.bisim_within(seq.of_delay(D.never()), t, 10**3),
+    lambda t: seq.leq_within(t, seq.bottom(), 10**3),
+], ids=["bisim-bottom-first", "bisim-silent-first", "leq-below-bottom"])
+def test_a_verdict_stops_at_the_first_silent_side(ask):
+    calls = []
+    t = seq.from_fn(lambda i: calls.append(i) or PENDING)
+    assert ask(t) is Verdict.UNKNOWN
+    assert len(calls) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason=_SILENT_FIRST)
+def test_a_side_that_is_never_scanned_raises_nothing():
+    def bad():
+        return seq.from_fn(lambda i: 1 // 0)
+
+    assert seq.bisim_within(seq.of_delay(D.never()), bad(), 5) is Verdict.UNKNOWN
+    assert seq.leq_within(bad(), seq.bottom(), 5) is Verdict.UNKNOWN
+    # the left side is scanned first, so its failure is raised
+    with pytest.raises(ZeroDivisionError):
+        seq.bisim_within(bad(), seq.of_delay(D.never()), 5)
+
+
 def test_verdict_and_table():
     T, F, U = Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN
     assert seq.verdict_and(T, T) is T
