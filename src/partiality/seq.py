@@ -359,10 +359,15 @@ def leq_within(s: Seq, t: Seq, fuel: int) -> Verdict:
       the one shape of refutation two finite witnesses can establish.
     * ``UNKNOWN`` otherwise; in particular a converged left against a silent
       right stays unknown forever, since divergence cannot be confirmed.
+
+    ``s`` is scanned first, ``t`` only if ``s`` converged, and neither if ``t``
+    is ``bottom()``; a side that is not scanned is not asked, nor its failure raised.
     """
     fuel = _check_fuel(fuel)
     if s is t or s is _BOTTOM:
         return Verdict.TRUE
+    if t is _BOTTOM:
+        return Verdict.UNKNOWN
     ws = converges_within(s, fuel)
     if ws is None:
         return Verdict.UNKNOWN
@@ -373,8 +378,11 @@ def leq_within(s: Seq, t: Seq, fuel: int) -> Verdict:
 
 
 def bisim_within(s: Seq, t: Seq, fuel: int) -> Verdict:
-    """Fuel-bounded equivalence: both orderings, conjoined three-valuedly."""
-    return verdict_and(leq_within(s, t, fuel), leq_within(t, s, fuel))
+    """Fuel-bounded equivalence: both orderings, conjoined three-valuedly.
+    Each side is scanned at most once, ``s`` first; once one is silent through
+    ``fuel`` the answer is ``UNKNOWN``, and nothing more is scanned or raised."""
+    st = leq_within(s, t, fuel)  # UNKNOWN: a side is silent, so `t <= s` cannot be FALSE
+    return st if st is Verdict.UNKNOWN else verdict_and(st, leq_within(t, s, fuel))
 
 
 # ---------------------------------------------------------------------------

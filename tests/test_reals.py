@@ -116,7 +116,6 @@ def test_the_zero_constant_gives_the_verdicts_of_the_query_loop():
         assert seq.bisim_within(zero, seq.bottom(), 10**4) is Verdict.UNKNOWN
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a verdict scans the side after a silent one")
 def test_bisim_of_the_zero_constant_asks_the_other_presentation_nothing():
     queries = []
 
