@@ -1,7 +1,8 @@
-"""``tools/bench_pairs.py``'s seed list and summary, on synthetic runs: no
-subprocess is started."""
+"""``tools/bench_pairs.py``'s seed list, summary, totals and exit code, on
+synthetic runs: no subprocess is started."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -102,3 +103,40 @@ def test_claim_met_needs_nine_of_ten_pairs_and_a_gap_past_the_parents_iqr(gain, 
     assert bench_pairs.claimed("w:op_p50_ms", mirror, SPEC)["claim_met"] is met
     assert bench_pairs.claimed("w:op_p50_ms", medians, SPEC)["claim_met"] is False  # the wrong way
     assert bench_pairs.claimed("x:ops_per_s", medians, SPEC) is None
+
+
+def result(attempted, failed):
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": {"ops_per_s": {"value": 100}, "op_p50_ms": {"value": 1.0}}}
+
+
+def test_totals_sum_attempted_and_failed_per_workload_and_side():
+    out = bench_pairs.totals([
+        {"workload": "w", "seed": 1, "side": "parent", "result": result(10, 0)},
+        {"workload": "w", "seed": 1, "side": "change", "result": result(12, 2)},
+        {"workload": "w", "seed": 2, "side": "change", "result": result(8, 0)},
+        {"workload": "v", "seed": 1, "side": "parent", "result": result(5, 1)},
+    ])
+    assert out == {
+        "w": {"parent": {"runs": 1, "attempted": 10, "failed": 0, "incorrect_runs": 0},
+              "change": {"runs": 2, "attempted": 20, "failed": 2, "incorrect_runs": 1}},
+        "v": {"parent": {"runs": 1, "attempted": 5, "failed": 1, "incorrect_runs": 1}},
+    }
+
+
+@pytest.mark.parametrize("failed, code", [(0, 0), (1, 1)], ids=["correct", "incorrect"])
+def test_an_incorrect_run_exits_1_after_the_file_is_written(tmp_path, monkeypatch, failed, code):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    # the change's run at seed 2 fails `failed` operations; no perfbench run is started
+    sides = {str(tmp_path / "parent"): "parent", str(tmp_path): "change"}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, w, seed, seconds: result(
+        10, failed if (sides[root], seed) == ("change", 2) else 0))
+    out = tmp_path / "pairs.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path), "--workloads", "w", "--seeds", "1-3",
+            "--seconds", "1", "--out", str(out), "--claim", "w:ops_per_s"]
+    assert bench_pairs.main(argv) == code
+    doc = json.loads(out.read_text())
+    assert len(doc["runs"]) == 6 and doc["medians"]["w"]["ops_per_s"]["pairs"] == 3
+    assert doc["totals"]["w"]["change"] == {
+        "runs": 3, "attempted": 30, "failed": failed, "incorrect_runs": failed}
+    assert doc["totals"]["w"]["parent"]["incorrect_runs"] == 0

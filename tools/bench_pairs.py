@@ -9,8 +9,9 @@ checkout, one run at a time, under ``PYTHONHASHSEED=0``; the pairs alternate
 which side runs first, starting with the parent.  It prints, for every
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
 how many pairs the change won, and whether the change's median is within
-the metric's bound.  With ``--out`` it writes every run's final JSON line
-and the summary.  With ``--claim W:M`` the summary names that metric as the
+the metric's bound, and per workload and side the operations attempted and
+failed.  With ``--out`` it writes every run's final JSON line and the
+summary.  It exits 1, after writing ``--out``, if any run was not correct.  With ``--claim W:M`` the summary names that metric as the
 claim, with ``claim_met``: the change won at least 9 of every 10 pairs, ties
 counting for neither side, and its median is better than the parent's by
 more than the parent's IQR.  Standard library only.
@@ -80,6 +81,20 @@ def summarise(runs: list[dict], spec: dict) -> dict:
     return out
 
 
+def totals(runs: list[dict]) -> dict:
+    """Per workload and side: the runs, the operations attempted and failed,
+    and the runs that were not correct."""
+    out = {}
+    for r in runs:
+        t = out.setdefault(r["workload"], {}).setdefault(
+            r["side"], {"runs": 0, "attempted": 0, "failed": 0, "incorrect_runs": 0})
+        t["runs"] += 1
+        t["attempted"] += r["result"]["attempted"]
+        t["failed"] += r["result"]["failed"]
+        t["incorrect_runs"] += r["result"]["correct"] is not True
+    return out
+
+
 def claimed(text: str, medians: dict, spec: dict) -> dict | None:
     """The summary of the metric that ``W:M`` names, with ``claim_met``, or
     ``None`` if no pair measured it."""
@@ -113,6 +128,7 @@ def write(args, spec: dict, medians: dict, runs: list[dict]) -> None:
     }
     if args.claim and (claim := claimed(args.claim, medians, spec)):
         doc["claimed"] = claim
+    doc["totals"] = totals(runs)
     doc["medians"] = medians
     doc["runs"] = runs
     with open(args.out, "w") as f:
@@ -155,8 +171,15 @@ def main(argv=None) -> int:
             print(f"{name:18s} parent {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}]  "
                   f"change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]  {s['delta']:+.2%}  "
                   f"won {s['change_wins']}/{s['pairs']}  {'within' if s['within_bound'] else 'PAST'} bound")
+    for w, sides in totals(runs).items():
+        for side, t in sides.items():
+            print(f"{w} {side}: failed {t['failed']} of {t['attempted']}, "
+                  f"{t['incorrect_runs']} of {t['runs']} runs incorrect")
     if args.claim and (claim := claimed(args.claim, medians, spec)):
         print(f"claim {args.claim}: claim_met {str(claim['claim_met']).lower()}")
+    if any(r["result"]["correct"] is not True for r in runs):
+        print("a run was not correct: its numbers do not count", file=sys.stderr)
+        return 1
     return 0
 
 
