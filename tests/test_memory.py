@@ -82,6 +82,7 @@ def observe_walk(start):
 
 # each call pushes a frame for the `suc` that waits on it, so the stack grows a frame a step
 GROWING_STACK = lang.parse(r"(\f. f f) (\f. suc (f f))")
+GROWING_STACK_CODE = lang.compile_term(GROWING_STACK)
 
 
 def held_later(n):
@@ -122,7 +123,7 @@ GROWING = {
 # bytes per step: about 8.5 for the interpreter's continuations, about 73 for the VM's frames
 LINEAR = {
     "run-growing-stack": (12, lambda n: lambda: lang.run(GROWING_STACK, n)),
-    "run_code-growing-stack": (96, lambda n: lambda: lang.run_code(lang.compile_term(GROWING_STACK), n)),
+    "run_code-growing-stack": (96, lambda n: lambda: lang.run_code(GROWING_STACK_CODE, n)),
 }
 
 DEFECTS = {

@@ -11,10 +11,12 @@ end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
 how many pairs the change won, and whether the change's median is within
 the metric's bound, and per workload and side the operations attempted and
 failed.  With ``--out`` it writes every run's final JSON line and the
-summary.  It exits 1, after writing ``--out``, if any run was not correct.  With ``--claim W:M`` the summary names that metric as the
-claim, with ``claim_met``: the change won at least 9 of every 10 pairs, ties
+summary.  With ``--claim W:M`` the summary names that metric as the claim,
+with ``claim_met``: the change won at least 9 of every 10 pairs, ties
 counting for neither side, and its median is better than the parent's by
-more than the parent's IQR.  Standard library only.
+more than the parent's IQR.  It exits 1, after writing ``--out``, if any
+run was not correct, since the numbers of a wrong run do not count.
+Standard library only.
 """
 
 from __future__ import annotations
