@@ -105,6 +105,18 @@ def test_claim_met_needs_nine_of_ten_pairs_and_a_gap_past_the_parents_iqr(gain, 
     assert bench_pairs.claimed("x:ops_per_s", medians, SPEC) is None
 
 
+@pytest.mark.xfail(strict=True, reason="claimed meets a claim on fewer than ten pairs")
+@pytest.mark.parametrize("n", [1, 9], ids=["one", "nine"])
+def test_a_claim_needs_ten_pairs(n):
+    # every pair won by a gap past the parent's IQR, but too few pairs to claim a gain
+    parent = [100, 98, 102, 100, 97, 103, 100, 100, 99, 101][:n]
+    medians = bench_pairs.summarise(pairs(parent, [p + 10 for p in parent]), SPEC)
+    claim = bench_pairs.claimed("w:ops_per_s", medians, SPEC)
+    assert claim["change_wins"] == claim["pairs"] == n
+    assert claim["change_median"] - claim["parent_median"] > claim["parent_iqr"]
+    assert claim["claim_met"] is False
+
+
 def result(attempted, failed):
     return {"correct": failed == 0, "attempted": attempted, "failed": failed,
             "metrics": {"ops_per_s": {"value": 100}, "op_p50_ms": {"value": 1.0}}}

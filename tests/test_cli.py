@@ -1,5 +1,6 @@
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -298,6 +299,19 @@ def test_module_entry_point_exit_codes(argv, code, out):
     r = subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert (r.returncode, r.stdout) == (code, out)
     assert r.stderr.startswith("error: ") if code == 1 else r.stderr == ""
+
+
+@pytest.mark.xfail(strict=True, reason="pyproject's pythonpath puts the checkout's src ahead of PYTHONPATH")
+def test_the_tests_import_the_partiality_on_the_path(tmp_path):
+    # a mutation check puts a copy on PYTHONPATH and runs pytest from the checkout; the copy must be what is tested
+    checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    copy = tmp_path / "partiality"
+    shutil.copytree(os.path.dirname(partiality.__file__), copy)
+    cmd = [sys.executable, "-m", "pytest", "--collect-only", "-p", "no:cacheprovider", "tests/test_delay.py"]
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    r = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert f"partiality: {copy / '__init__.py'}\n" in r.stdout
 
 
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
