@@ -4,7 +4,7 @@ import pytest
 
 
 def pytest_report_header(config):
-    # pyproject's pythonpath puts the checkout's src first; this names the copy under test
+    # the tests import the first partiality on the path; this names it, so a run of a copy shows it tests the copy
     try:
         import partiality
     except ImportError as err:

@@ -105,7 +105,6 @@ def test_claim_met_needs_nine_of_ten_pairs_and_a_gap_past_the_parents_iqr(gain, 
     assert bench_pairs.claimed("x:ops_per_s", medians, SPEC) is None
 
 
-@pytest.mark.xfail(strict=True, reason="claimed meets a claim on fewer than ten pairs")
 @pytest.mark.parametrize("n", [1, 9], ids=["one", "nine"])
 def test_a_claim_needs_ten_pairs(n):
     # every pair won by a gap past the parent's IQR, but too few pairs to claim a gain
@@ -152,3 +151,13 @@ def test_an_incorrect_run_exits_1_after_the_file_is_written(tmp_path, monkeypatc
     assert doc["totals"]["w"]["change"] == {
         "runs": 3, "attempted": 30, "failed": failed, "incorrect_runs": failed}
     assert doc["totals"]["w"]["parent"]["incorrect_runs"] == 0
+
+
+def test_the_workloads_and_run_length_default_to_the_benchmarks(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        dict(SPEC, run_seconds=12, workloads=[{"name": "a"}, {"name": "b"}])))
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, w, seed, seconds: calls.append(
+        (w, seed, seconds)) or result(10, 0))
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--seeds", "1-2"]) == 0
+    assert calls == [(w, seed, 12) for w in "ab" for seed in (1, 2) for _ in range(2)]

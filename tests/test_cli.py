@@ -301,7 +301,6 @@ def test_module_entry_point_exit_codes(argv, code, out):
     assert r.stderr.startswith("error: ") if code == 1 else r.stderr == ""
 
 
-@pytest.mark.xfail(strict=True, reason="pyproject's pythonpath puts the checkout's src ahead of PYTHONPATH")
 def test_the_tests_import_the_partiality_on_the_path(tmp_path):
     # a mutation check puts a copy on PYTHONPATH and runs pytest from the checkout; the copy must be what is tested
     checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -1,21 +1,23 @@
 """Alternating parent/change pairs of perfbench runs, summed up per metric.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workloads programs,chains \
-        --seeds 411-420 --seconds 12 --out BENCH_40.json --claim programs:op_tail_ms
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --seeds 411-420 \
+        --out BENCH_40.json --claim programs:op_tail_ms
 
 PARENT_DIR and CHANGE_DIR are two checkouts, for instance two ``git archive``
 copies.  For each workload and seed it runs ``perfbench/run.py`` once in each
 checkout, one run at a time, under ``PYTHONHASHSEED=0``; the pairs alternate
-which side runs first, starting with the parent.  It prints, for every
-end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
-how many pairs the change won, and whether the change's median is within
-the metric's bound, and per workload and side the operations attempted and
-failed.  With ``--out`` it writes every run's final JSON line and the
-summary.  With ``--claim W:M`` the summary names that metric as the claim,
-with ``claim_met``: the change won at least 9 of every 10 pairs, ties
-counting for neither side, and its median is better than the parent's by
-more than the parent's IQR.  It exits 1, after writing ``--out``, if any
-run was not correct, since the numbers of a wrong run do not count.
+which side runs first, starting with the parent.  The workloads and the run
+length default to every workload and the ``run_seconds`` of the change's
+``BENCHMARK.json``.  It prints, for every end-to-end metric there, each
+side's median and quartiles, how many pairs the change won, and whether the
+change's median is within the metric's bound, and per workload and side the
+operations attempted and failed.  With ``--out`` it writes every run's final
+JSON line and the summary.  With ``--claim W:M`` the summary names that
+metric as the claim, with ``claim_met``: at least ten pairs ran, the change
+won at least 9 of every 10 of them, ties counting for neither side, and its
+median is better than the parent's by more than the parent's IQR.  It exits
+1, after writing ``--out``, if any run was not correct, since the numbers of
+a wrong run do not count.
 Standard library only.
 """
 
@@ -106,7 +108,8 @@ def claimed(text: str, medians: dict, spec: dict) -> dict | None:
         return None
     higher = any(x["name"] == m and x["better"] == "higher" for x in spec["end_to_end"])
     gap = s["change_median"] - s["parent_median"]
-    met = 10 * s["change_wins"] >= 9 * s["pairs"] and (gap if higher else -gap) > s["parent_iqr"]
+    met = (s["pairs"] >= 10 and 10 * s["change_wins"] >= 9 * s["pairs"]
+           and (gap if higher else -gap) > s["parent_iqr"])
     return dict(workload=w, metric=m, **s, claim_met=met)
 
 
@@ -142,9 +145,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
     p.add_argument("change")
-    p.add_argument("--workloads", required=True, help="comma-separated workload names")
+    p.add_argument("--workloads", help="comma-separated workload names; default every one")
     p.add_argument("--seeds", required=True, type=seeds, help="e.g. 411-420 or 411,412")
-    p.add_argument("--seconds", type=float, default=12)
+    p.add_argument("--seconds", type=float, help="length of each run; default run_seconds")
     p.add_argument("--out", help="the BENCH_<pr>.json file to write")
     p.add_argument("--claim", help="WORKLOAD:METRIC, the metric the change claims")
     p.add_argument("--parent-name", default="", help="what the parent side is, e.g. its commit")
@@ -152,6 +155,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         spec = json.load(f)
+    args.workloads = args.workloads or ",".join(w["name"] for w in spec["workloads"])
+    if args.seconds is None:
+        args.seconds = float(spec["run_seconds"])
     sides = {"parent": args.parent, "change": args.change}
     runs = []
     for w in args.workloads.split(","):
