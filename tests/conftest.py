@@ -4,7 +4,7 @@ import pytest
 
 
 def pytest_report_header(config):
-    # the tests import the first partiality on the path; this names it, so a run of a copy shows it tests the copy
+    # the tests import the first partiality on the path; naming it shows whether a run tests the copy it means to
     try:
         import partiality
     except ImportError as err:
