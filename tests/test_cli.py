@@ -307,8 +307,10 @@ def test_the_tests_import_the_partiality_on_the_path(tmp_path):
     copy = tmp_path / "partiality"
     shutil.copytree(os.path.dirname(partiality.__file__), copy)
     cmd = [sys.executable, "-m", "pytest", "--collect-only", "-p", "no:cacheprovider", "tests/test_delay.py"]
-    env = dict(os.environ, PYTHONPATH=str(tmp_path))
-    r = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+    # the copy goes first on the caller's path, which may be how pytest itself is found; PYTEST_ADDOPTS could hide the header
+    path = os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTEST_ADDOPTS"}
+    r = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=dict(env, PYTHONPATH=path))
     assert r.returncode == 0, r.stdout + r.stderr
     assert f"partiality: {copy / '__init__.py'}\n" in r.stdout
 
