@@ -12,11 +12,10 @@ first that certifies non-positivity, pending forever on zero — so all the
 fuel-bounded machinery applies unchanged.  A ``const_real``'s ratio is read
 when ``is_positive`` is called, and its answer is one chain of known length,
 which a scan passes by its count, or ``never()`` for zero.  Any other ``f``,
-a wrapper of a ``const_real`` included, is queried once per index: the
-producer asks each pull how far it goes and answers it in one loop, reported
-as one run of pending cells.  It reads a value's ratio only when ``f``
-returns another object than at the last query, so a repeated value is read
-once and every later query is one integer comparison.
+a wrapper of a ``const_real`` included, is queried once per cell pulled.  The
+producer reads a value's ratio only when ``f`` returns another object than at
+the last query, so a repeated value is read once and every later query is one
+integer comparison.
 
 Bounds are decided on integers, from each value's ``as_integer_ratio()``, so a
 real may return any exact-ratio number: ``int``, ``Fraction`` or ``float``.
@@ -31,11 +30,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
+from math import inf
 from typing import Callable
 
 from ._record import _read_int
 from .delay import Now, _behind, _check_fuel, never
-from .seq import Done, Seq, _WANT
+from .seq import PENDING, Done, Seq
 
 Rational = Fraction
 
@@ -55,45 +55,33 @@ def is_positive(f: Real) -> Seq:
     ``2*q // |p| + 1`` steps to ``Now`` of its bit, which a scan passes by
     its count, or of ``never()`` for zero.  Any other ``f``, a wrapper of a
     ``const_real`` included, is queried once per index ``n >= 1`` up to the
-    first done one.  One loop answers a whole pull: it queries each index
-    the pull needs, in order, and reports the pending ones as one run.  A
-    value that is the same object as the last one is not read again: its
-    ratio gave ``lim = 2*q // |p|``, the last index it leaves pending
-    (``|m*p| > 2*q`` iff ``m > lim``), so the query is one integer
-    comparison; a zero leaves the whole pull pending.  A value changed in
-    place between queries is read as it first was.  A query that raises
-    leaves the cells before it scanned, and the error is raised on the next
-    resume.
+    first done one, one query per cell pulled.  A value that is the same
+    object as the last one is not read again: its ratio gave
+    ``lim = 2*q // |p|``, the last index it leaves pending (``|m*p| > 2*q``
+    iff ``m > lim``), so the query is one integer comparison; a zero leaves
+    every cell pending.  A value changed in place between queries is read as
+    it first was.  A query that raises fails the pull of its cell and leaves
+    the cells before it scanned.
     """
     if type(f) is partial and f.func is _const:  # const_real's: a chain of known length, or never()
         p, q = f.args[0].as_integer_ratio()
         return Seq(_behind(2 * q // abs(p) + 2, Now(int(p > 0))) if p else never())
 
     def produce():
-        k = 0  # the next cell to report; cell 0 needs no query
-        last, p = _UNREAD, 0  # the value last read, and its numerator
+        yield PENDING  # cell 0 needs no query
+        last, p, lim = _UNREAD, 0, 0  # the value last read, its numerator, and the last index it leaves pending
+        m = 1
         while True:
-            n = yield _WANT  # the last index this pull needs
-            if not p:
-                lim = n  # a zero value leaves every cell of this pull pending
-            try:
-                for m in range(k or 1, n + 1):
-                    x = f(m)
-                    if x is not last:
-                        p, q = x.as_integer_ratio()
-                        last = x
-                        lim = 2 * q // abs(p) if p else n  # |m*p| > 2*q iff m > lim
-                    if m > lim:
-                        if m > k:
-                            yield m - k
-                        yield Done(int(p > 0))
-                        return
-            except Exception:
-                if m > k:
-                    yield m - k
-                raise
-            yield n + 1 - k
-            k = n + 1
+            x = f(m)
+            if x is not last:
+                p, q = x.as_integer_ratio()
+                last = x
+                lim = 2 * q // abs(p) if p else inf  # |m*p| > 2*q iff m > lim
+            if m > lim:
+                yield Done(int(p > 0))
+                return
+            yield PENDING
+            m += 1
 
     return Seq(produce)
 

@@ -31,13 +31,10 @@ makes it pull; it absorbs (``⊥ >>= f = ⊥``): ``shift``, ``unshift`` and
 stop right after its first done cell, since every later cell is that one; it
 may not stop before one.  Before that cell it may yield a positive ``int`` r
 for r pending cells in a row, so a run of them costs one step; after it, an
-``int`` is not monotone.  A producer may also ask how far the current pull
-goes, by yielding the private marker ``_WANT``: it is sent the last index the
-pull needs and answers with its next cell or run, so ``reals.is_positive``
-answers a whole pull in one loop.  Every other resume is ``next``, so a
-producer that never asks is never sent anything.  A non-monotone producer
-raises ``MonotonicityError`` at the offending index.  Fuel and indices must be
-integers, or it is a ``TypeError``, and not negative, or it is a ``ValueError``.
+``int`` is not monotone.  Every resume is ``next``, so any iterator can be a
+producer.  A non-monotone producer raises ``MonotonicityError`` at the
+offending index.  Fuel and indices must be integers, or it is a ``TypeError``,
+and not negative, or it is a ``ValueError``.
 Use from a single thread.
 """
 
@@ -53,7 +50,6 @@ from .delay import Delay, Now, _behind, _check_fuel, _leap
 
 
 PENDING = Marker("PENDING", __name__)
-_WANT = Marker("_WANT", __name__)  # a producer's ask for the pull's last index
 _PULLING = Marker("_PULLING", __name__)  # a Seq's source while a pull runs
 
 
@@ -122,9 +118,7 @@ class Seq:
     Backed by a ``Delay``, read as ``of_delay`` says, or by a factory for a
     producer that emits cells in index order.  Before its first done cell it
     may emit a positive ``int`` r for a run of r ``PENDING`` cells, which a
-    pull may end inside; a zero or negative ``int`` is a ``ValueError``.  It
-    may emit ``_WANT`` to ask how far the pull goes: it is then sent the
-    pull's last index, and what it yields in return is its next item.  The
+    pull may end inside; a zero or negative ``int`` is a ``ValueError``.  The
     producer may stop right after its first done cell, which completes the
     sequence and drops the producer; stopping before one is an error.  Only
     the count of cells pulled and the first done cell with its index are
@@ -183,8 +177,6 @@ class Seq:
                 it = it()  # the producer: rebinding `it` keeps no source it moves past
             while k <= n:
                 p = next(it)
-                if p is _WANT:
-                    p = it.send(n)
                 if done is None:
                     if p is not PENDING:
                         if type(p) is not int:
